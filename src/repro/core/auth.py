@@ -22,15 +22,13 @@ Two :class:`repro.iba.hca.AuthService` implementations are provided:
 :class:`IcrcAuthService` (stock IBA) and :class:`MacAuthService` (the
 proposal, parameterized by MAC algorithm and key manager).
 
-**Fast datapath.**  ``prepare``/``verify`` run over the packet's *cached*
-invariant bytes (see :mod:`repro.iba.packet`), and because sender and
-receiver handle the same packet object in this simulator, the tag computed
-at ``prepare`` time is memoized on the packet keyed by (function, key,
-message identity, nonce).  ``verify`` reuses it only when *every* component
-matches — any in-flight tamper rebuilds the invariant bytes (new identity)
-and any key/selector mismatch misses the memo, so the verification outcome
-is always exactly what a fresh MAC computation would produce.  Disable with
-:func:`set_tag_memo` for reference-mode benchmarking.
+**Tag memo.**  Sender and receiver handle the same packet object in this
+simulator, so the tag computed at ``prepare`` time is memoized on the packet
+with the (function, key, message, nonce) it was computed from.  ``verify``
+reuses it only when *every* component compares equal; the tag is a pure
+function of those four, so the verdict is always exactly what a fresh MAC
+computation would give, and any in-flight tamper of a covered byte changes
+the message and misses the memo.
 """
 
 from __future__ import annotations
@@ -47,24 +45,6 @@ from repro.sim.counters import CounterRegistry
 from repro.iba.packet import DataPacket
 from repro.sim.config import AuthMode
 from repro.sim.engine import PS_PER_NS
-
-
-_TAG_MEMO_ENABLED = True
-
-
-def set_tag_memo(enabled: bool) -> None:
-    """Enable/disable the prepare→verify tag memo (fast default: on).
-
-    With the memo off, every ``verify`` recomputes the MAC from scratch —
-    the reference behavior the datapath benchmark compares against.  Both
-    modes return identical verdicts for every packet."""
-    global _TAG_MEMO_ENABLED
-    _TAG_MEMO_ENABLED = bool(enabled)
-
-
-def tag_memo_enabled() -> bool:
-    """Whether the prepare→verify tag memo is active."""
-    return _TAG_MEMO_ENABLED
 
 
 @dataclass(frozen=True)
@@ -224,11 +204,7 @@ class MacAuthService:
         nonce = packet.nonce
         tag = self.func.compute(key, message, nonce)
         packet.icrc = tag
-        if _TAG_MEMO_ENABLED:
-            # Keyed on the message object's *identity*: the serialization
-            # cache hands out a new bytes object whenever any covered field
-            # mutates, so a tampered packet can never hit this memo.
-            packet._auth_tag_memo = (self.func.ident, key, message, nonce, tag)
+        packet._auth_tag_memo = (self.func.ident, key, message, nonce, tag)
         self.tags_generated.inc()
         return delay + self._stage_ps
 
@@ -247,12 +223,11 @@ class MacAuthService:
         nonce = packet.nonce
         memo = packet._auth_tag_memo
         if (
-            _TAG_MEMO_ENABLED
-            and memo is not None
+            memo is not None
             and memo[0] == self.func.ident
             and memo[1] == key
-            and memo[2] is message
             and memo[3] == nonce
+            and memo[2] == message
         ):
             expected = memo[4]
         else:

@@ -19,10 +19,6 @@ of arXiv 1901.00955): a sender that knows the port's secret salt packs its
 P_Key's probe positions into a small integer; the ingress filter verifies
 the tag by recomputation, so a forger without the salt cannot mint a tag
 that survives verification (probability ~``m^-k`` per guess).
-
-Fast datapath: probe positions per (salt, key) are immutable, so
-:func:`set_position_memo` memoizes them exactly like the serialization/MAC
-caches — bit-identical results, toggled by :func:`repro.datapath.set_datapath`.
 """
 
 from __future__ import annotations
@@ -30,23 +26,6 @@ from __future__ import annotations
 import math
 
 from repro.crypto.md5 import md5
-
-_POSITION_MEMO_ENABLED = True
-
-
-def set_position_memo(enabled: bool) -> None:
-    """Globally enable/disable the per-(salt, key) probe-position memo.
-
-    Disabled recomputes the MD5 double hash on every lookup (the reference
-    datapath); enabled caches positions per filter instance.  Both modes are
-    bit-identical — only wall-clock changes."""
-    global _POSITION_MEMO_ENABLED
-    _POSITION_MEMO_ENABLED = bool(enabled)
-
-
-def position_memo_enabled() -> bool:
-    """Whether the probe-position memo layer is active."""
-    return _POSITION_MEMO_ENABLED
 
 
 def bloom_positions(key: int, salt: bytes, num_bits: int, num_hashes: int) -> tuple[int, ...]:
@@ -114,7 +93,6 @@ class BloomFilter:
         self.salt = bytes(salt)
         self._bits = bytearray((num_bits + 7) // 8)
         self._inserted = 0
-        self._memo: dict[int, tuple[int, ...]] = {}
 
     @property
     def inserted(self) -> int:
@@ -124,14 +102,8 @@ class BloomFilter:
     # -- hashing --------------------------------------------------------------
 
     def positions(self, key: int) -> tuple[int, ...]:
-        """Probe positions for *key* (memoized under the fast datapath)."""
-        if not _POSITION_MEMO_ENABLED:
-            return bloom_positions(key, self.salt, self.num_bits, self.num_hashes)
-        pos = self._memo.get(key)
-        if pos is None:
-            pos = bloom_positions(key, self.salt, self.num_bits, self.num_hashes)
-            self._memo[key] = pos
-        return pos
+        """Probe positions for *key*."""
+        return bloom_positions(key, self.salt, self.num_bits, self.num_hashes)
 
     def tag(self, key: int) -> int:
         """The in-packet membership tag for *key* under this filter's salt."""
@@ -155,8 +127,7 @@ class BloomFilter:
         return True
 
     def clear(self) -> None:
-        """Zero the bit array (filter deactivation); the memo survives —
-        positions depend only on (salt, key), never on contents."""
+        """Zero the bit array (filter deactivation)."""
         for i in range(len(self._bits)):
             self._bits[i] = 0
         self._inserted = 0
@@ -169,8 +140,7 @@ class BloomFilter:
 
     @property
     def memory_bytes(self) -> int:
-        """Modeled hardware footprint: the bit array only (the memo is a
-        simulator-side speedup, not modeled state)."""
+        """Modeled hardware footprint: the bit array."""
         return len(self._bits)
 
     def estimated_fp_rate(self) -> float:

@@ -127,8 +127,7 @@ class SIFPortFilter:
         # statistics (registry-owned; see repro.sim.counters)
         self.registry = registry if registry is not None else CounterRegistry()
         #: Ingress P_Key Violation Counter (paper Section 3.3) — modeled
-        #: hardware state the idle-timeout check *reads*, so it must stay a
-        #: real counter even when observability is disabled.
+        #: hardware state the idle-timeout check *reads*.
         self.violation_counter = self.registry.state_counter(
             f"{scope}.violation_counter"
         )

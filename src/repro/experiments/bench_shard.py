@@ -24,9 +24,9 @@ raw wall clock:
   the **process** transport and must match the single-process run
   bit-for-bit.
 
-Every leg runs in its own subprocess (GC isolation, same rationale as
-``bench_engine``).  Results land in ``BENCH_shard.json`` (schema
-``repro.bench_shard/1``); run via ``repro-sim bench-shard``.
+Every leg runs in its own subprocess (GC isolation).  Results land in
+``BENCH_shard.json`` (schema ``repro.bench_shard/1``); run via
+``repro-sim bench-shard``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Differential fuzzing & invariant checking for the whole simulator.
+"""Fuzzing & invariant checking for the whole simulator.
 
 The subsystem closes the loop the paper's evaluation leaves open: the
 simulator *claims* packet conservation, SIF state-machine legality, auth
-soundness, and fast-vs-reference datapath equivalence on every run — this
-package makes those claims machine-checkable on *randomly generated*
-scenarios instead of hand-picked test fixtures.
+soundness, and Bloom-over-SIF dominance on every run — this package makes
+those claims machine-checkable on *randomly generated* scenarios instead of
+hand-picked test fixtures.
 
 Pipeline (see DESIGN.md §3e):
 
@@ -12,9 +12,8 @@ Pipeline (see DESIGN.md §3e):
   topology/partition/traffic/attacker draws) plus mutation-based packet
   tampering and forged-packet injection, all on :class:`~repro.sim.rng.RngStreams`
   so every scenario is a pure function of ``(master_seed, index)``.
-* :mod:`repro.fuzz.oracles` — executes a scenario under a chosen datapath
-  mode and checks the invariant catalogue, including the differential
-  oracle that replays the scenario under ``fast`` vs ``reference``.
+* :mod:`repro.fuzz.oracles` — executes a scenario and checks the invariant
+  catalogue, including the Bloom shadow leg on SIF scenarios.
 * :mod:`repro.fuzz.shrink` — greedy delta debugging: minimize a failing
   scenario while the same oracle still fires.
 * :mod:`repro.fuzz.corpus` — content-addressed JSON corpus of failures
@@ -34,7 +33,6 @@ from repro.fuzz.oracles import (  # noqa: F401
     FuzzRun,
     ScenarioResult,
     Violation,
-    check_differential,
     check_run,
     execute_scenario,
     run_scenario,

@@ -1,10 +1,10 @@
 """Scenario execution and the invariant catalogue (DESIGN.md §3e).
 
-:func:`execute_scenario` runs one :class:`~repro.fuzz.generators.Scenario`
-under a chosen datapath mode, installing its faults, wire tamperers, and
-forged injections through ``run_simulation``'s ``setup`` hook, and returns a
-:class:`FuzzRun` bundling the report, the full trace, the live fabric, and
-the identity sets the oracles need.
+:func:`execute_scenario` runs one :class:`~repro.fuzz.generators.Scenario`,
+installing its faults, wire tamperers, and forged injections through
+``run_simulation``'s ``setup`` hook, and returns a :class:`FuzzRun`
+bundling the report, the full trace, the live fabric, and the identity
+sets the oracles need.
 
 Single-run oracles (:data:`ORACLES`):
 
@@ -24,14 +24,8 @@ Single-run oracles (:data:`ORACLES`):
   stream as the live SIF filter may over-filter (false positives, counted
   separately) but must never pass a packet SIF dropped.
 
-:func:`check_differential` is the two-run oracle: the same scenario under
-``set_datapath("fast")`` vs ``"reference"`` must produce identical counters,
-stats, and traces (packet ids compared relative to each run's base, since
-ids are process-globally monotonic).  The same check runs across the
-scheduler axis (``wheel`` calendar queue vs the ``heap`` oracle — the
-scale core must not change one observable bit), and
-:func:`check_observability_differential` proves a disabled observability
-layer changes nothing but the bookkeeping itself.
+:func:`check_shard_differential` is the two-run oracle: a sharded run must
+match the single-process run of the same config exactly.
 """
 
 from __future__ import annotations
@@ -42,9 +36,6 @@ from typing import Callable
 from repro.core.attacks import forge_packet, inject_raw
 from repro.core.auth import auth_function_for
 from repro.core.enforcement import BloomPortFilter, SIFPortFilter, bloom_port_salt
-from repro.datapath import get_datapath, set_datapath
-from repro.observability import get_observability, set_observability
-from repro.sim.scheduler import get_scheduler, set_scheduler
 from repro.fuzz.generators import (
     ForgedInject,
     MutationContext,
@@ -75,10 +66,10 @@ HCA_DROP_COUNTERS = (
 
 @dataclass(frozen=True)
 class Violation:
-    """One invariant failure, attributed to an oracle and a run mode."""
+    """One invariant failure, attributed to an oracle and a run leg."""
 
     oracle: str
-    mode: str  #: ``reference`` | ``fast`` | ``differential``
+    mode: str  #: ``production`` | ``bloom_shadow`` | ``sharded``
     message: str
 
     def __str__(self) -> str:
@@ -90,7 +81,7 @@ class FuzzRun:
     """Everything one scenario execution leaves behind for the oracles."""
 
     scenario: Scenario
-    mode: str
+    mode: str  #: ``production`` or ``bloom_shadow``
     report: SimReport
     tracer: Tracer
     fabric: Fabric
@@ -196,18 +187,8 @@ class _BloomShadowFilter:
         return getattr(self.sif, name)
 
 
-def execute_scenario(
-    scenario: Scenario,
-    mode: str,
-    scheduler: str | None = None,
-    observability: str | None = None,
-    bloom_shadow: bool = False,
-) -> FuzzRun:
-    """Run *scenario* under datapath *mode*; restores the previous mode.
-
-    *scheduler* (``"wheel"`` | ``"heap"``) and *observability* (``"on"`` |
-    ``"off"``) pin those axes for this run when given; each is restored
-    afterwards.  They default to the ambient modes.
+def execute_scenario(scenario: Scenario, bloom_shadow: bool = False) -> FuzzRun:
+    """Run *scenario* once and keep everything the oracles need.
 
     *bloom_shadow* wraps every installed SIF ingress filter in a
     :class:`_BloomShadowFilter` (sized by the scenario's ``bloom_bits`` /
@@ -215,126 +196,113 @@ def execute_scenario(
     ``bloom_dominance`` oracle can compare drop decisions on the identical
     stream; it has no effect on scenarios without SIF enforcement.
     """
-    prev_mode = get_datapath()
-    prev_sched = get_scheduler()
-    prev_obs = get_observability()
-    set_datapath(mode)
-    if scheduler is not None:
-        set_scheduler(scheduler)
-    if observability is not None:
-        set_observability(observability)
-    try:
-        base_seq = current_packet_seq()
-        tracer = Tracer()
-        config = scenario.build_config()
-        tampered: set[int] = set()
-        injected: set[int] = set()
-        captured: dict[str, Fabric] = {}
-        shadows: list[_BloomShadowFilter] = []
+    base_seq = current_packet_seq()
+    tracer = Tracer()
+    config = scenario.build_config()
+    tampered: set[int] = set()
+    injected: set[int] = set()
+    captured: dict[str, Fabric] = {}
+    shadows: list[_BloomShadowFilter] = []
 
-        def setup(engine, fabric: Fabric) -> None:
-            captured["fabric"] = fabric
-            injector = FaultInjector(fabric)
-            links = {link.name: link for link in fabric.all_links()}
+    def setup(engine, fabric: Fabric) -> None:
+        captured["fabric"] = fabric
+        injector = FaultInjector(fabric)
+        links = {link.name: link for link in fabric.all_links()}
 
-            # Faults are guarded: a link never double-fails (LinkFault and a
-            # SwitchCrash may name the same link) and never "restores" while
-            # up, so per-link link_down >= link_up holds by construction.
-            def fail_if_up(link) -> None:
-                if not link.failed:
-                    injector.fail_link(link)
+        # Faults are guarded: a link never double-fails (LinkFault and a
+        # SwitchCrash may name the same link) and never "restores" while
+        # up, so per-link link_down >= link_up holds by construction.
+        def fail_if_up(link) -> None:
+            if not link.failed:
+                injector.fail_link(link)
 
-            def restore_if_down(link) -> None:
-                if link.failed:
-                    injector.restore_link(link)
+        def restore_if_down(link) -> None:
+            if link.failed:
+                injector.restore_link(link)
 
-            for fault in scenario.link_faults:
-                link = links[fault.link]
-                engine.schedule_at(round(fault.fail_us * PS_PER_US), fail_if_up, link)
-                if fault.restore_us is not None:
-                    engine.schedule_at(
-                        round(fault.restore_us * PS_PER_US), restore_if_down, link
-                    )
-            for crash in scenario.switch_crashes:
-                coords = (crash.x, crash.y)
-                injector.crash_switch(coords, at_ps=round(crash.at_us * PS_PER_US))
-                if crash.restore_us is not None:
-                    injector.restore_switch(
-                        coords, at_ps=round(crash.restore_us * PS_PER_US)
-                    )
+        for fault in scenario.link_faults:
+            link = links[fault.link]
+            engine.schedule_at(round(fault.fail_us * PS_PER_US), fail_if_up, link)
+            if fault.restore_us is not None:
+                engine.schedule_at(
+                    round(fault.restore_us * PS_PER_US), restore_if_down, link
+                )
+        for crash in scenario.switch_crashes:
+            coords = (crash.x, crash.y)
+            injector.crash_switch(coords, at_ps=round(crash.at_us * PS_PER_US))
+            if crash.restore_us is not None:
+                injector.restore_switch(
+                    coords, at_ps=round(crash.restore_us * PS_PER_US)
+                )
 
-            ctx = MutationContext(
-                valid_pkeys=tuple(sorted(
-                    {p for hca in fabric.hcas.values() for p in hca.keys.pkeys},
-                    key=lambda p: p.value,
-                )),
-                lids=tuple(fabric.lids),
-            )
-            by_link: dict[str, dict[int, object]] = {}
-            for tamper in scenario.tampers:
-                by_link.setdefault(tamper.link, {}).setdefault(tamper.ordinal, tamper)
-            for name, plan in by_link.items():
-                link = links[name]
-                prev_tap = link.tap
-
-                def tamper_tap(packet, _plan=plan, _prev=prev_tap, _seen=[0]) -> None:
-                    if _prev is not None:
-                        _prev(packet)
-                    tamper = _plan.get(_seen[0])
-                    _seen[0] += 1
-                    if tamper is not None:
-                        apply_mutation(packet, tamper.mutation, tamper.param, ctx)
-                        tampered.add(packet.packet_id)
-
-                link.tap = tamper_tap
-
-            def fire_injection(inj: ForgedInject) -> None:
-                packet = _build_injection(inj, fabric, config)
-                injected.add(packet.packet_id)
-                inject_raw(fabric.hca(inj.src_lid), packet)
-
-            for inj in scenario.injections:
-                engine.schedule_at(round(inj.at_us * PS_PER_US), fire_injection, inj)
-
-            if bloom_shadow:
-                for lid in fabric.lids:
-                    sw = fabric.ingress_switch(lid)
-                    port = fabric.ingress_port(lid)
-                    filt = sw.filters[port]
-                    if not isinstance(filt, SIFPortFilter):
-                        continue
-                    bloom = BloomPortFilter(
-                        engine,
-                        set(filt.partition_table),
-                        filt.lookup_ns,
-                        config.sif_idle_timeout_us,
-                        bloom_bits=config.bloom_bits,
-                        bloom_hashes=config.bloom_hashes,
-                        salt=bloom_port_salt(filt.scope),
-                        inpacket_tag=False,  # a SIF run stamps no tags
-                        scope=f"shadow.{filt.scope}",
-                    )
-                    shadow = _BloomShadowFilter(filt, bloom)
-                    sw.set_port_filter(port, shadow)
-                    fabric.sm.registration_hooks[int(lid)] = shadow.register_invalid
-                    shadows.append(shadow)
-
-        report = run_simulation(config, tracer=tracer, setup=setup)
-        return FuzzRun(
-            scenario=scenario,
-            mode=mode,
-            report=report,
-            tracer=tracer,
-            fabric=captured["fabric"],
-            base_seq=base_seq,
-            tampered_ids=tampered,
-            injected_ids=injected,
-            bloom_shadows=shadows,
+        ctx = MutationContext(
+            valid_pkeys=tuple(sorted(
+                {p for hca in fabric.hcas.values() for p in hca.keys.pkeys},
+                key=lambda p: p.value,
+            )),
+            lids=tuple(fabric.lids),
         )
-    finally:
-        set_datapath(prev_mode)
-        set_scheduler(prev_sched)
-        set_observability(prev_obs)
+        by_link: dict[str, dict[int, object]] = {}
+        for tamper in scenario.tampers:
+            by_link.setdefault(tamper.link, {}).setdefault(tamper.ordinal, tamper)
+        for name, plan in by_link.items():
+            link = links[name]
+            prev_tap = link.tap
+
+            def tamper_tap(packet, _plan=plan, _prev=prev_tap, _seen=[0]) -> None:
+                if _prev is not None:
+                    _prev(packet)
+                tamper = _plan.get(_seen[0])
+                _seen[0] += 1
+                if tamper is not None:
+                    apply_mutation(packet, tamper.mutation, tamper.param, ctx)
+                    tampered.add(packet.packet_id)
+
+            link.tap = tamper_tap
+
+        def fire_injection(inj: ForgedInject) -> None:
+            packet = _build_injection(inj, fabric, config)
+            injected.add(packet.packet_id)
+            inject_raw(fabric.hca(inj.src_lid), packet)
+
+        for inj in scenario.injections:
+            engine.schedule_at(round(inj.at_us * PS_PER_US), fire_injection, inj)
+
+        if bloom_shadow:
+            for lid in fabric.lids:
+                sw = fabric.ingress_switch(lid)
+                port = fabric.ingress_port(lid)
+                filt = sw.filters[port]
+                if not isinstance(filt, SIFPortFilter):
+                    continue
+                bloom = BloomPortFilter(
+                    engine,
+                    set(filt.partition_table),
+                    filt.lookup_ns,
+                    config.sif_idle_timeout_us,
+                    bloom_bits=config.bloom_bits,
+                    bloom_hashes=config.bloom_hashes,
+                    salt=bloom_port_salt(filt.scope),
+                    inpacket_tag=False,  # a SIF run stamps no tags
+                    scope=f"shadow.{filt.scope}",
+                )
+                shadow = _BloomShadowFilter(filt, bloom)
+                sw.set_port_filter(port, shadow)
+                fabric.sm.registration_hooks[int(lid)] = shadow.register_invalid
+                shadows.append(shadow)
+
+    report = run_simulation(config, tracer=tracer, setup=setup)
+    return FuzzRun(
+        scenario=scenario,
+        mode="bloom_shadow" if bloom_shadow else "production",
+        report=report,
+        tracer=tracer,
+        fabric=captured["fabric"],
+        base_seq=base_seq,
+        tampered_ids=tampered,
+        injected_ids=injected,
+        bloom_shadows=shadows,
+    )
 
 
 # -- single-run oracles -------------------------------------------------------
@@ -552,100 +520,6 @@ def check_run(run: FuzzRun) -> list[Violation]:
     return out
 
 
-# -- differential oracle ------------------------------------------------------
-
-
-def _normalized_trace(run: FuzzRun) -> list[tuple]:
-    return [
-        (e.time_ps, e.kind, e.where, run.rel(e.packet_id), e.detail)
-        for e in run.tracer.events
-    ]
-
-
-def check_differential(
-    fast: FuzzRun, reference: FuzzRun, oracle: str = "differential"
-) -> list[Violation]:
-    """*fast* and *reference* must be bit-identical in everything but
-    wall-clock: full counter snapshot, per-class stats, drops, and the
-    normalized event trace.
-
-    The same check covers every differential axis — datapath fast vs
-    reference, scheduler wheel vs heap — with *oracle* naming the axis in
-    any violation (``differential`` | ``scheduler_differential``)."""
-    out: list[Violation] = []
-
-    fc, rc = fast.report.counters, reference.report.counters
-    diff_keys = sorted(
-        k for k in (fc.keys() | rc.keys()) if fc.get(k) != rc.get(k)
-    )
-    if diff_keys:
-        shown = ", ".join(
-            f"{k}: fast={fc.get(k)} ref={rc.get(k)}" for k in diff_keys[:5]
-        )
-        out.append(Violation(
-            oracle, "differential",
-            f"{len(diff_keys)} counters differ — {shown}",
-        ))
-    if fast.report.stats != reference.report.stats:
-        out.append(Violation(
-            oracle, "differential",
-            f"class stats differ: fast={fast.report.stats}"
-            f" ref={reference.report.stats}",
-        ))
-    if fast.report.drops != reference.report.drops:
-        out.append(Violation(
-            oracle, "differential",
-            f"drop taxonomies differ: fast={fast.report.drops}"
-            f" ref={reference.report.drops}",
-        ))
-    ft, rt = _normalized_trace(fast), _normalized_trace(reference)
-    if ft != rt:
-        detail = f"lengths fast={len(ft)} ref={len(rt)}"
-        for i, (a, b) in enumerate(zip(ft, rt)):
-            if a != b:
-                detail = f"first divergence at event {i}: fast={a} ref={b}"
-                break
-        out.append(Violation(oracle, "differential", f"traces differ — {detail}"))
-    return out
-
-
-def check_observability_differential(on: FuzzRun, off: FuzzRun) -> list[Violation]:
-    """An observability-disabled run must produce the identical *simulation*
-    (per-class stats, drop taxonomy, events processed) while recording
-    nothing: zero counters and an empty trace prove the no-op swap is
-    actually in place rather than silently half-enabled."""
-    out: list[Violation] = []
-    if on.report.stats != off.report.stats:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"class stats differ: on={on.report.stats} off={off.report.stats}",
-        ))
-    if on.report.drops != off.report.drops:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"drop taxonomies differ: on={on.report.drops} off={off.report.drops}",
-        ))
-    if on.report.events_processed != off.report.events_processed:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"event counts differ: on={on.report.events_processed}"
-            f" off={off.report.events_processed}",
-        ))
-    live = {k: v for k, v in off.report.counters.items() if v}
-    if live:
-        shown = ", ".join(f"{k}={v}" for k, v in sorted(live.items())[:5])
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"disabled registry still recorded {len(live)} counters — {shown}",
-        ))
-    if off.tracer.events:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"disabled run still traced {len(off.tracer.events)} events",
-        ))
-    return out
-
-
 # -- sharded-engine differential ----------------------------------------------
 
 
@@ -751,21 +625,15 @@ def check_shard_differential(
 
 @dataclass
 class ScenarioResult:
-    """Verdict of one scenario across every differential axis.
+    """Verdict of one scenario.
 
-    ``reference``/``fast`` are the two datapath legs (both under the
-    ``wheel`` scheduler); ``heap`` re-runs the fast datapath on the binary
-    heap oracle scheduler, and ``obs_off`` with observability disabled.
-    ``bloom_shadow`` (SIF scenarios only) re-runs with shadow Bloom filters
-    riding the SIF ingress ports for the dominance oracle — its extra
-    shadow-timer events exclude it from the differential comparisons."""
+    ``run`` is the production leg; ``bloom_shadow`` (SIF scenarios only)
+    re-runs with shadow Bloom filters riding the SIF ingress ports for the
+    dominance oracle."""
 
     scenario: Scenario
     violations: list[Violation]
-    reference: FuzzRun | None = None
-    fast: FuzzRun | None = None
-    heap: FuzzRun | None = None
-    obs_off: FuzzRun | None = None
+    run: FuzzRun
     bloom_shadow: FuzzRun | None = None
 
     @property
@@ -774,34 +642,17 @@ class ScenarioResult:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Execute a scenario across all four legs and run every oracle.
+    """Execute a scenario and run every oracle.
 
-    Legs: reference datapath, fast datapath (both on the ``wheel``
-    scheduler — the scale core is what ships), fast datapath on the
-    ``heap`` oracle scheduler, and fast datapath with observability
-    disabled.  The differential oracles require the first three to be
-    bit-identical in counters/stats/drops/trace, and the obs-off leg to be
-    the identical simulation with provably empty instrumentation.
+    One production leg goes through the single-run oracles; a SIF scenario
+    also runs a Bloom shadow leg through them plus ``bloom_dominance``.
     """
-    reference = execute_scenario(scenario, "reference", scheduler="wheel")
-    fast = execute_scenario(scenario, "fast", scheduler="wheel")
-    heap = execute_scenario(scenario, "fast", scheduler="heap")
-    obs_off = execute_scenario(scenario, "fast", scheduler="wheel", observability="off")
-    violations = (
-        check_run(reference)
-        + check_run(fast)
-        + check_run(heap)
-        + check_differential(fast, reference)
-        + check_differential(fast, heap, oracle="scheduler_differential")
-        + check_observability_differential(fast, obs_off)
-    )
+    run = execute_scenario(scenario)
+    violations = check_run(run)
     shadow = None
     if scenario.config.get("enforcement") == "sif":
-        shadow = execute_scenario(
-            scenario, "fast", scheduler="wheel", bloom_shadow=True
-        )
+        shadow = execute_scenario(scenario, bloom_shadow=True)
         violations += check_run(shadow) + check_bloom_vs_sif(shadow)
     return ScenarioResult(
-        scenario=scenario, violations=violations, reference=reference, fast=fast,
-        heap=heap, obs_off=obs_off, bloom_shadow=shadow,
+        scenario=scenario, violations=violations, run=run, bloom_shadow=shadow,
     )

@@ -59,7 +59,6 @@ class Link:
         "tracer",
         "_trace",
         "_in_transit",
-        "_batch",
         "_pending_credit",
     )
 
@@ -91,7 +90,7 @@ class Link:
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
         # Bound once here so the untraced hot path pays a no-op call, not a
-        # per-call branch (see repro.observability).
+        # per-call branch (see repro.sim.trace.null_trace).
         self._trace = tracer.record if tracer is not None else null_trace
         self.packets_sent = self.registry.counter(f"link.{name}.packets_sent")
         self.bytes_sent = self.registry.counter(f"link.{name}.bytes_sent")
@@ -103,9 +102,8 @@ class Link:
         # packets currently on this link (serializing or in wire flight);
         # mechanism state like credits, exposed read-only via in_transit.
         self._in_transit = 0
-        # Scale core only: coalesce back-to-back same-instant credit
-        # returns into one flush event (see schedule_credit).
-        self._batch = engine.scale_core
+        # back-to-back same-instant credit returns coalesce into one flush
+        # event (see schedule_credit).
         self._pending_credit: list | None = None
 
     @property
@@ -176,22 +174,16 @@ class Link:
     def schedule_credit(self, delay: int, vl: int) -> None:
         """Schedule ``return_credit(vl)`` *delay* picoseconds from now.
 
-        Under the heap oracle this is exactly
-        ``engine.schedule(delay, self.return_credit, vl)``.  Under the
-        scale core, credits for the same instant scheduled back-to-back —
-        with **zero** intervening schedule calls anywhere in the engine,
-        proven by an unchanged :attr:`Engine.seq_mark` — coalesce into one
-        pooled flush event that replays ``return_credit`` per credit in
-        the original order.  Because the folded events would have held
+        Credits for the same instant scheduled back-to-back — with **zero**
+        intervening schedule calls anywhere in the engine, proven by an
+        unchanged :attr:`Engine.seq_mark` — coalesce into one pooled flush
+        event that replays ``return_credit`` per credit in the original
+        order.  Because the folded events would have held
         consecutive sequence numbers at the same timestamp, no other event
-        can sort between them, so the replay is bit-identical to the
-        oracle's event-per-credit schedule (the differential fuzz harness
-        enforces this).
+        can sort between them, so the replay is bit-identical to an
+        event-per-credit schedule.
         """
         engine = self.engine
-        if not self._batch:
-            engine.schedule(delay, self.return_credit, vl)
-            return
         pending = self._pending_credit
         due = engine.now + delay
         if (

@@ -2,10 +2,10 @@
 
 The cache is the service's scale story: results land in the *same*
 ``.sweep_cache/`` directory the sweep layer uses, keyed by the same
-machinery (:func:`repro.sim.sweep.config_key` — cache version + datapath
-mode + scheduler mode + fully-resolved config), so a scenario anyone has
-ever run — through a figure sweep or through the API — answers instantly
-for every later client.  Two entry shapes coexist:
+machinery (:func:`repro.sim.sweep.config_key` — cache version +
+fully-resolved config), so a scenario anyone has ever run — through a
+figure sweep or through the API — answers instantly for every later
+client.  Two entry shapes coexist:
 
 * ``<key>.pkl`` — a plain :class:`~repro.sim.runner.SimReport`, the sweep
   layer's native entry.  The service *writes* one for schedule-free
@@ -16,8 +16,8 @@ for every later client.  Two entry shapes coexist:
 
 Scenarios that carry fault/tamper/injection schedules are not expressible
 as a bare :class:`SimConfig`, so their key hashes the whole canonical
-scenario dict (still folding cache version, datapath, scheduler, and
-observability modes); they never collide with sweep entries.
+scenario dict (with the cache version); they never collide with sweep
+entries.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.datapath import get_datapath
 from repro.fuzz.generators import Scenario
-from repro.observability import get_observability
 from repro.sim.runner import SimReport
-from repro.sim.scheduler import get_scheduler
 from repro.sim.sweep import (
     CACHE_VERSION,
     DEFAULT_CACHE_DIR,
@@ -113,7 +110,7 @@ class Job:
 
 
 def scenario_key(scenario: Scenario) -> str:
-    """Stable content hash of a scenario under the current run modes.
+    """Stable content hash of a scenario.
 
     A schedule-free scenario keys exactly like the sweep layer keys its
     resolved config (:func:`~repro.sim.sweep.config_key`), so the memo
@@ -130,9 +127,6 @@ def scenario_key(scenario: Scenario) -> str:
         return config_key(config)
     payload = {
         "cache_version": CACHE_VERSION,
-        "datapath": get_datapath(),
-        "scheduler": get_scheduler(),
-        "observability": get_observability(),
         "scenario": _canonical(scenario.to_dict()),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 
-from repro.datapath import get_datapath
 from repro.fuzz.generators import Scenario
 from repro.service.jobqueue import BoundedJobQueue
 from repro.service.jobstore import Job, JobResult, JobStore, ResultCache
@@ -43,7 +42,7 @@ def execute_job(scenario_dict: dict) -> JobResult:
     from repro.fuzz.oracles import execute_scenario
 
     scenario = Scenario.from_dict(scenario_dict)
-    run = execute_scenario(scenario, mode=get_datapath())
+    run = execute_scenario(scenario)
     trace = tuple(
         trace_event_dict(e) for e in list(run.tracer.events)[-TRACE_KEEP:]
     )

@@ -2,7 +2,7 @@
 
 The paper evaluates everything on a packet-level InfiniBand testbed; this
 package is the engine underneath our reproduction of that testbed: an event
-heap with a picosecond integer clock (:mod:`repro.sim.engine`), named seeded
+queue with a picosecond integer clock (:mod:`repro.sim.engine`), named seeded
 RNG streams (:mod:`repro.sim.rng`), latency/queuing statistics
 (:mod:`repro.sim.metrics`), experiment configuration
 (:mod:`repro.sim.config`), traffic generators and the DoS attacker

@@ -134,31 +134,6 @@ class Counter:
         return f"Counter({self.name}={self.value!r})"
 
 
-class NullCounter(Counter):
-    """A counter whose mutators are no-ops and whose value is pinned at 0.
-
-    A **disabled** :class:`CounterRegistry` hands every requester the same
-    shared instance, so hot-path call sites keep their unconditional
-    ``self.stat.inc()`` shape — the increment itself becomes a no-op
-    method call rather than a per-call ``if`` (the zero-cost-observability
-    contract; see :mod:`repro.observability`).  Reads still behave like the
-    number 0, so diagnostic code that compares counters keeps working.
-    """
-
-    __slots__ = ()
-
-    def inc(self, n: int | float = 1) -> None:
-        pass
-
-    add = inc
-
-    def reset(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"NullCounter({self.name})"
-
-
 class CounterRegistry:
     """Flat, ordered namespace of :class:`Counter` objects.
 
@@ -166,31 +141,15 @@ class CounterRegistry:
     an existing name returns the same object, so a component constructed
     twice against the same registry shares (and keeps accumulating into)
     its counters — components therefore use unique instance scopes.
-
-    Built with ``enabled=False`` the registry is a black hole: every
-    :meth:`counter` request returns one shared :class:`NullCounter`, the
-    namespace stays empty, and :meth:`snapshot` is ``{}``.  Simulation
-    behavior is unchanged because nothing in the data path *reads* plain
-    counters to make decisions — state the simulation does read (e.g. the
-    SIF Invalid P_Key violation counter, whose idle-timeout check compares
-    successive values) must be requested via :meth:`state_counter`, which
-    stays a real mutable counter in either mode.
     """
 
-    __slots__ = ("_counters", "enabled", "_null", "_state")
+    __slots__ = ("_counters",)
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self.enabled = enabled
-        self._null = NullCounter("disabled") if not enabled else None
-        # real counters handed out while disabled (see state_counter) —
-        # kept out of _counters so snapshot()/names() stay empty.
-        self._state: dict[str, Counter] = {}
 
     def counter(self, name: str, initial: int | float = 0) -> Counter:
         """Create (or fetch) the counter called *name*."""
-        if self._null is not None:
-            return self._null
         c = self._counters.get(name)
         if c is None:
             c = Counter(name, initial)
@@ -203,17 +162,14 @@ class CounterRegistry:
 
     def state_counter(self, name: str, initial: int | float = 0) -> Counter:
         """Create (or fetch) a counter that models **hardware state** the
-        simulation reads to make decisions.  Unlike :meth:`counter`, a
-        disabled registry still returns a real, mutable counter — nulling
-        it would change simulation behavior, not just observability.  When
-        disabled the counter is excluded from the exported namespace
-        (:meth:`snapshot` stays ``{}``); when enabled it is an ordinary
-        registry counter (of kind ``"state"``)."""
-        store = self._counters if self._null is None else self._state
-        c = store.get(name)
+        simulation reads to make decisions (e.g. the SIF Invalid P_Key
+        violation counter).  It is an ordinary registry counter of kind
+        ``"state"``, which cross-shard merges refuse to sum into a plain
+        statistic."""
+        c = self._counters.get(name)
         if c is None:
             c = Counter(name, initial, kind="state")
-            store[name] = c
+            self._counters[name] = c
         return c
 
     def get(self, name: str) -> int | float:
@@ -259,11 +215,11 @@ class CounterRegistry:
         snapshot: dict[str, int | float],
         kinds: dict[str, str] | None = None,
     ) -> "CounterRegistry":
-        """Rebuild an enabled registry from a :meth:`snapshot` dict (and an
+        """Rebuild a registry from a :meth:`snapshot` dict (and an
         optional :meth:`kinds` map), preserving the dict's iteration order.
         This is how per-shard counter state is rehydrated for a cross-shard
         :meth:`merge`."""
-        registry = cls(enabled=True)
+        registry = cls()
         kinds = kinds or {}
         for name, value in snapshot.items():
             registry._counters[name] = Counter(
@@ -280,8 +236,8 @@ class CounterRegistry:
         same-name pair whose kinds disagree (plain ``"counter"`` vs
         ``"state"``) raises ``ValueError`` — summing hardware state into a
         statistic (or vice versa) is always a wiring bug.  Merging an empty
-        or disabled registry is a no-op, so shards that processed nothing
-        cost nothing."""
+        registry is a no-op, so shards that processed nothing cost
+        nothing."""
         for name, theirs in other._counters.items():
             mine = self._counters.get(name)
             if mine is None:

@@ -10,20 +10,17 @@ matters because DoS experiments schedule thousands of same-instant events
 (credit returns, arbitration passes) whose relative order must not depend on
 queue internals.
 
-The queue structure itself is pluggable (:mod:`repro.sim.scheduler`): a
-binary heap kept as the oracle, or a calendar queue for fat-tree-scale runs.
-Both produce the identical (time, priority, seq) pop order; an engine
-samples the module-level mode at construction.  Under the ``wheel`` scale
-core the engine additionally recycles fire-and-forget events through a
-free list (:meth:`Engine.schedule_pooled`) so the steady-state hot path
-allocates nothing per event.
+The queue is a calendar queue (:class:`~repro.sim.scheduler.WheelScheduler`)
+that pops in exactly that order.  The engine also recycles fire-and-forget
+events through a free list (:meth:`Engine.schedule_pooled`) so the
+steady-state hot path allocates nothing per event.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.sim.scheduler import get_scheduler, make_scheduler
+from repro.sim.scheduler import WheelScheduler
 
 #: Picoseconds per microsecond — metrics convert through this.
 PS_PER_US = 1_000_000
@@ -73,17 +70,10 @@ class Engine:
     ['a', 'b']
     """
 
-    __slots__ = ("_sched", "_push", "_now", "_seq", "_processed", "_pool",
-                 "scheduler_mode", "scale_core")
+    __slots__ = ("_sched", "_push", "_now", "_seq", "_processed", "_pool")
 
-    def __init__(self, scheduler: str | None = None) -> None:
-        #: which queue family this engine runs on (fixed at construction).
-        self.scheduler_mode = scheduler if scheduler is not None else get_scheduler()
-        #: True when the scale core is active: calendar queue, event
-        #: pooling, and link credit coalescing.  False = the pre-scale-up
-        #: oracle behavior.
-        self.scale_core = self.scheduler_mode == "wheel"
-        self._sched = make_scheduler(self.scheduler_mode)
+    def __init__(self) -> None:
+        self._sched = WheelScheduler()
         self._push = self._sched.push  # bound once; schedule paths are hot
         self._now = 0
         self._seq = 0
@@ -144,14 +134,10 @@ class Engine:
                         priority: int = 0) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so the
         event can never be cancelled and the engine may recycle the record
-        through its free list.  Under the ``heap`` oracle this degrades to a
-        plain allocation, keeping that mode's behavior pre-scale-up.
+        through its free list.
 
-        Ordering is identical to :meth:`schedule` either way — the event
-        still consumes one sequence number at schedule time."""
-        if not self.scale_core:
-            self.schedule(delay, fn, *args, priority=priority)
-            return
+        Ordering is identical to :meth:`schedule`: the event still consumes
+        one sequence number at schedule time."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         time = self._now + int(delay)
@@ -204,12 +190,10 @@ class Engine:
         call resumes exactly where the budget ran out instead of silently
         skipping over the unprocessed events' timestamps.
         """
-        # The loop itself lives on the scheduler (``drain``) so each queue
-        # family runs its own fused peek/pop hot path — the heap keeps the
-        # pre-scale-up inline loop verbatim, the wheel walks its current
-        # bucket with a local cursor.  Cancelled entries are discarded as
-        # they surface and never count against *max_events*; pooled events
-        # go back on the engine's free list after firing.
+        # The loop itself lives on the scheduler (``drain``), which walks its
+        # current bucket with a local cursor.  Cancelled entries are
+        # discarded as they surface and never count against *max_events*;
+        # pooled events go back on the engine's free list after firing.
         budget_hit = self._sched.drain(self, until, max_events)
         if until is not None and self._now < until:
             if budget_hit:

@@ -20,7 +20,6 @@ from repro.iba.qp import QueuePair
 from repro.iba.subnet_manager import SubnetManager
 from repro.iba.topology import Fabric, build_fabric, path_length
 from repro.iba.types import QPN, ServiceType
-from repro.observability import observability_enabled
 from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_US
@@ -65,13 +64,6 @@ class SimReport:
     drops: dict[str, int]
     delivered: int
     attack_windows: list[tuple[int, int]]
-    switch_filtered: int = 0
-    switch_lookups: int = 0
-    sif_activations: int = 0
-    sif_deactivations: int = 0
-    traps_received: int = 0
-    traps_processed: int = 0
-    key_exchanges: int = 0
     events_processed: int = 0
     wall_seconds: float = 0.0
     senders: dict[str, int] = field(default_factory=dict)
@@ -88,6 +80,36 @@ class SimReport:
     def counter(self, name: str) -> int | float:
         """One counter from the snapshot (0 when absent)."""
         return self.counters.get(name, 0)
+
+    # -- headline totals, read from the counter snapshot ----------------------
+
+    @property
+    def switch_filtered(self) -> int:
+        return int(self.counter_total("switch.*.filtered_drops"))
+
+    @property
+    def switch_lookups(self) -> int:
+        return int(self.counter_total("filter.*.lookups"))
+
+    @property
+    def sif_activations(self) -> int:
+        return int(self.counter_total("filter.*.activations"))
+
+    @property
+    def sif_deactivations(self) -> int:
+        return int(self.counter_total("filter.*.deactivations"))
+
+    @property
+    def traps_received(self) -> int:
+        return int(self.counter("sm.traps_received"))
+
+    @property
+    def traps_processed(self) -> int:
+        return int(self.counter("sm.traps_processed"))
+
+    @property
+    def key_exchanges(self) -> int:
+        return int(self.counter("keymgmt.exchanges"))
 
     def counter_total(self, pattern: str) -> int | float:
         """Sum of snapshot counters whose name matches the glob *pattern*
@@ -184,13 +206,7 @@ def build_experiment(
     config.validate()
     engine = Engine()
     metrics = MetricsCollector(keep_samples=config.keep_samples)
-    # Zero-cost observability (repro.observability): "off" builds the whole
-    # fabric against a null counter registry and without a tracer, so the
-    # hot path's bookkeeping reduces to no-op calls.
-    obs_on = observability_enabled()
-    if not obs_on:
-        tracer = None
-    registry = CounterRegistry(enabled=obs_on)
+    registry = CounterRegistry()
     fabric = build_fabric(engine, config, metrics, registry=registry, tracer=tracer)
     streams = RngStreams(config.seed)
 
@@ -427,23 +443,15 @@ def run_simulation(
             senders["best_effort"] += 1
         elif isinstance(src, RealtimeSource):
             senders["realtime"] += 1
-    registry = fabric.registry
     return SimReport(
         config=config,
         stats=stats,
         drops=dict(metrics.dropped),
         delivered=metrics.delivered,
         attack_windows=windows,
-        switch_filtered=int(registry.total("switch.*.filtered_drops")),
-        switch_lookups=int(registry.total("filter.*.lookups")),
-        sif_activations=int(registry.total("filter.*.activations")),
-        sif_deactivations=int(registry.total("filter.*.deactivations")),
-        traps_received=int(registry.get("sm.traps_received")),
-        traps_processed=int(registry.get("sm.traps_processed")),
-        key_exchanges=int(getattr(key_manager, "exchanges", 0)),
         events_processed=engine.events_processed,
         wall_seconds=wall,
         senders=senders,
         metrics=metrics.summary() if config.keep_samples else None,
-        counters=registry.snapshot(),
+        counters=fabric.registry.snapshot(),
     )

@@ -1,45 +1,28 @@
-"""Pluggable event schedulers — binary heap oracle vs calendar queue.
+"""The event queue — a calendar queue over integer picoseconds.
 
-The engine orders events by ``(time, priority, seq)`` and must do so
-**bit-identically** regardless of the queue structure underneath: DoS
-experiments schedule thousands of same-instant events whose relative
-order is observable through counters and traces.  This module provides
-two interchangeable implementations of that total order:
+The engine orders events by ``(time, priority, seq)`` and the queue must
+reproduce that total order exactly: DoS experiments schedule thousands of
+same-instant events whose relative order is observable through counters
+and traces.
 
-``heap``
-    The pre-scale-up binary heap (``heapq``), kept verbatim as the
-    *oracle*.  O(log n) per operation, n = pending events — at
-    fat-tree scale the heap itself dominates the event loop.
+:class:`WheelScheduler` is a calendar queue (a single-level time wheel over
+absolute slot numbers).  Events hash into buckets of ``2**SLOT_BITS``
+picoseconds by plain integer shift; buckets are unsorted until the clock
+reaches them, then sorted once and drained in order.  A small heap of
+*active slot numbers* (ints) replaces a heap of events, so push is O(1)
+amortized and pop touches a log-sized structure only once per bucket
+instead of once per event.  Events that land in the bucket currently being
+drained are inserted in order with ``bisect.insort`` past the drain point,
+which is what makes the pop sequence exactly a binary heap's, including
+same-instant ties.
 
-``wheel``
-    A calendar queue (single-level time wheel over absolute slot
-    numbers).  Events hash into buckets of ``2**SLOT_BITS`` picoseconds
-    by plain integer shift; buckets are unsorted until the clock
-    reaches them, then sorted once and drained in order.  A small heap
-    of *active slot numbers* (ints) replaces the heap of events, so
-    push is O(1) amortized and pop touches a log-sized structure only
-    once per bucket instead of once per event.  Events that land in the
-    bucket currently being drained are inserted in order with
-    ``bisect.insort`` past the drain point — this is what makes the pop
-    sequence exactly the heap's, including same-instant ties.
-
-Mode selection mirrors :mod:`repro.datapath`: :func:`set_scheduler`
-switches the family used by newly built engines, :func:`get_scheduler`
-reports it, and the ``REPRO_SCHEDULER`` environment variable
-(``wheel`` | ``heap``) picks the initial mode at import; the default is
-``wheel``.  An :class:`~repro.sim.engine.Engine` samples the mode at
-construction, so a mode flip never mutates a live run.
-
-The ``wheel`` mode is also the flag for the rest of the scale core:
-the engine enables its event free-list pool and links coalesce
-same-instant credit returns only under ``wheel``, keeping ``heap`` a
-faithful pre-scale-up oracle for the differential fuzz harness.
+The binary-heap oracle it is checked against lives with the tests
+(``tests/sim/heap_oracle.py``); nothing in the simulator selects it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import insort
 from typing import Any
 
@@ -47,76 +30,11 @@ from typing import Any
 #: comparison; seq is unique so the Event object is never compared.
 Entry = tuple[int, int, int, Any]
 
-MODES = ("wheel", "heap")
-
 #: Bucket width exponent: 2**13 ps = 8.192 ns per slot.  Chosen against the
 #: paper's timing constants (byte time 3200 ps, credit return 40 ns, wire
 #: 10 ns): most same-instant bursts share a slot while distinct delays spread
 #: across slots, which benchmarked fastest at 20k-100k pending events.
 SLOT_BITS = 13
-
-
-class HeapScheduler:
-    """The oracle: one binary heap of entries (the pre-scale-up queue)."""
-
-    __slots__ = ("_q",)
-
-    def __init__(self, now: int = 0) -> None:
-        self._q: list[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def push(self, entry: Entry) -> None:
-        heapq.heappush(self._q, entry)
-
-    def peek(self) -> Entry | None:
-        """Next live entry without consuming it (cancelled entries are
-        discarded as they surface).  ``pop_head`` consumes it in O(log n)."""
-        q = self._q
-        while q:
-            entry = q[0]
-            if entry[3].cancelled:
-                heapq.heappop(q)
-                continue
-            return entry
-        return None
-
-    def pop_head(self) -> None:
-        """Consume the entry the immediately preceding :meth:`peek` returned."""
-        heapq.heappop(self._q)
-
-    def drain(self, engine, until: int | None, max_events: int | None) -> bool:
-        """Fire events in order until the queue empties, *until* passes, or
-        *max_events* have run.  Returns True when the budget cut the drain
-        short with a live entry still queued.
-
-        This is the pre-scale-up event loop verbatim — one inline heap pop
-        per event, no pooling (heap-mode engines never create pooled
-        events) — so the oracle leg of a benchmark pays exactly the costs
-        the original engine did.
-        """
-        q = self._q
-        heappop = heapq.heappop
-        count = 0
-        budget = -1 if max_events is None else max_events
-        while q:
-            entry = q[0]
-            ev = entry[3]
-            if ev.cancelled:
-                heappop(q)
-                continue
-            if count == budget:
-                return True
-            t = entry[0]
-            if until is not None and t > until:
-                return False
-            heappop(q)
-            engine._now = t
-            ev.fn(*ev.args)
-            engine._processed += 1
-            count += 1
-        return False
 
 
 class WheelScheduler:
@@ -195,7 +113,9 @@ class WheelScheduler:
         self._size -= 1
 
     def drain(self, engine, until: int | None, max_events: int | None) -> bool:
-        """Fire events in order (see :meth:`HeapScheduler.drain` contract).
+        """Fire events in order until the queue empties, *until* passes, or
+        *max_events* have run.  Returns True when the budget cut the drain
+        short with a live entry still queued.
 
         The peek/pop pair is fused into one loop over the current bucket
         with the cursor held in a local.  ``self._hi``/``self._size`` are
@@ -253,41 +173,3 @@ class WheelScheduler:
                 # current bucket behind the cursor — resynchronize
                 head = self._head
                 hi = self._hi
-
-
-_SCHEDULERS = {"heap": HeapScheduler, "wheel": WheelScheduler}
-
-_mode = "wheel"
-
-
-def set_scheduler(mode: str) -> None:
-    """Select the scheduler family for engines built from now on.
-
-    ``"wheel"`` — calendar queue plus the rest of the scale core (event
-    pooling, link credit coalescing).  ``"heap"`` — the pre-scale-up
-    binary heap with per-event allocation (the oracle).  Simulation
-    results are identical in both modes; only wall-clock changes.
-    """
-    global _mode
-    if mode not in MODES:
-        raise ValueError(f"unknown scheduler mode {mode!r}; choose from {MODES}")
-    _mode = mode
-
-
-def get_scheduler() -> str:
-    """Current mode — what the next ``Engine()`` will be built with."""
-    return _mode
-
-
-def make_scheduler(mode: str, now: int = 0) -> HeapScheduler | WheelScheduler:
-    """Instantiate the queue structure for *mode* (engine internal)."""
-    try:
-        cls = _SCHEDULERS[mode]
-    except KeyError:
-        raise ValueError(f"unknown scheduler mode {mode!r}; choose from {MODES}") from None
-    return cls(now)
-
-
-_env_mode = os.environ.get("REPRO_SCHEDULER")
-if _env_mode:
-    set_scheduler(_env_mode)

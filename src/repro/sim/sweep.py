@@ -60,20 +60,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
-from repro.datapath import get_datapath
 from repro.sim.config import SimConfig
-from repro.sim.scheduler import get_scheduler
 from repro.sim.runner import SimReport, run_simulation
 
 #: bump when SimReport/SimConfig change shape enough to invalidate old
 #: cached pickles.
 #: Bump whenever SimReport's shape or semantics change — v2 added the
 #: counter-registry snapshot (``SimReport.counters``), making pre-v2 cached
-#: pickles incomplete; v3 folded the active datapath mode into the hashed
-#: payload (a ``REPRO_DATAPATH=reference`` debug sweep must never be served
-#: fast-mode entries, even though the two modes are meant to be identical);
-#: v4 folded in the scheduler mode the same way (a ``REPRO_SCHEDULER=heap``
-#: oracle sweep must re-execute rather than read wheel-mode entries);
+#: pickles incomplete; v3 and v4 folded the then-selectable datapath and
+#: scheduler modes into the hashed payload;
 #: v5 added the Bloom enforcement fields (``bloom_bits``/``bloom_hashes``/
 #: ``bloom_inpacket_tag``) to SimConfig — pre-v5 entries were hashed over a
 #: config shape that could not express them, so a default-bloom-params run
@@ -83,8 +78,10 @@ from repro.sim.runner import SimReport, run_simulation
 #: (``attack_start_us``/``attack_ramp_us``) to SimConfig — pre-v6 entries
 #: were hashed over a config shape that could only express plain Poisson
 #: sources and step-on attackers, so a default-model run must never be
-#: served a pickle from before those axes existed.
-CACHE_VERSION = 6
+#: served a pickle from before those axes existed;
+#: v7 dropped those mode fields again (there is one datapath) and turned
+#: SimReport's seven headline totals into properties over ``counters``.
+CACHE_VERSION = 7
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -114,19 +111,12 @@ def _canonical(value: Any) -> Any:
 def config_key(config: SimConfig) -> str:
     """Stable content hash of a fully-resolved :class:`SimConfig`.
 
-    Two configs hash equal iff every field (including the seed) is equal
-    *and* the runs would execute under the same datapath and scheduler
-    modes; the JSON canonicalisation makes the key independent of field
-    order, enum identity, and tuple-vs-list spelling.  The mode axes are
-    part of the payload because a report cached under ``fast``/``wheel``
-    must not satisfy a ``reference``- or ``heap``-mode debugging sweep
-    (the modes are bit-identical by design, but proving that is exactly
-    what an oracle-mode sweep is for).
+    Two configs hash equal iff every field (including the seed) is equal;
+    the JSON canonicalisation makes the key independent of field order,
+    enum identity, and tuple-vs-list spelling.
     """
     payload = {
         "cache_version": CACHE_VERSION,
-        "datapath": get_datapath(),
-        "scheduler": get_scheduler(),
         "config": _canonical(asdict(config)),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -53,9 +53,8 @@ def null_trace(
 
     Hot-path components bind ``self._trace`` once at construction — to
     ``tracer.record`` when tracing is on, to this function when it is off —
-    so the untraced fast path pays one no-op call instead of a branch per
-    emission site (the zero-cost-observability contract; see
-    :mod:`repro.observability` and ``tools/check_observability.py``).
+    so the untraced hot path pays one no-op call instead of a branch per
+    emission site (``tools/check_observability.py`` enforces the binding).
     """
 
 

@@ -180,3 +180,61 @@ class TestOnDemand:
         svc.prepare(p, StubHCA(1))
         p.lrh.vl = 1  # in-flight remap
         assert svc.verify(p, StubHCA(2))
+
+
+class TestAuthTagMemoInvalidation:
+    """The prepare→verify MAC memo keys on the covered bytes' value: any
+    covered-field tamper must force a real recomputation (and fail)."""
+
+    def _service(self, func=AUTH_FUNCTIONS[3]):
+        class FixedKey:
+            def sender_key(self, hca, packet):
+                return b"\x17" * 16, 0
+
+            def receiver_key(self, hca, packet):
+                return b"\x17" * 16
+
+        return MacAuthService(func, FixedKey(), mac_stage_delay_ns=0.0)
+
+    def test_variant_rewrite_keeps_tag_valid(self):
+        svc = self._service()
+        p = make_packet()
+        svc.prepare(p, None)
+        p.lrh.vl = 1  # in-flight variant rewrite
+        assert svc.verify(p, None)
+
+    def test_invariant_tamper_fails_despite_memo(self):
+        svc = self._service()
+        p = make_packet()
+        svc.prepare(p, None)
+        p.bth.pkey = PKey(0x8002)
+        assert not svc.verify(p, None)
+
+    def test_payload_tamper_fails_despite_memo(self):
+        svc = self._service()
+        p = make_packet(payload=b"honest bytes")
+        svc.prepare(p, None)
+        p.payload = b"forged bytes"
+        assert not svc.verify(p, None)
+
+    def test_untampered_verify_reuses_the_prepared_tag(self):
+        """A verify of the untouched packet is answered from the memo (the
+        covered bytes are rebuilt, equal but not identical); a tampered one
+        recomputes."""
+        from repro.core.auth import AuthFunction
+
+        calls = []
+        inner = AUTH_FUNCTIONS[3]
+
+        def counting(key, message, nonce):
+            calls.append(message)
+            return inner.compute(key, message, nonce)
+
+        svc = self._service(AuthFunction(inner.ident, "counting", counting))
+        p = make_packet()
+        svc.prepare(p, None)
+        assert svc.verify(p, None)
+        assert len(calls) == 1
+        p.payload = b"forged bytes"
+        assert not svc.verify(p, None)
+        assert len(calls) == 2

@@ -21,7 +21,7 @@ from tests.fuzz.conftest import busy_scenario
 def make_entry():
     return entry_for(
         busy_scenario(),
-        [Violation("conservation", "fast", "submitted=5 != 4")],
+        [Violation("conservation", "production", "submitted=5 != 4")],
     )
 
 
@@ -30,7 +30,7 @@ class TestEntries:
         entry = make_entry()
         assert entry["schema"] == CORPUS_SCHEMA
         assert entry["oracle"] == "conservation"
-        assert entry["violations"][0]["mode"] == "fast"
+        assert entry["violations"][0]["mode"] == "production"
         assert scenario_of(entry) == busy_scenario()
 
     def test_filename_is_content_addressed(self):

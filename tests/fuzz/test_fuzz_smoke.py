@@ -1,7 +1,5 @@
-"""tier2_fuzz smoke: 10 generated scenarios through every invariant
-oracle and every differential axis — datapath fast vs reference,
-scheduler wheel vs heap, observability on vs off (the
-differential-identity acceptance check).
+"""tier2_fuzz smoke: 10 generated scenarios through every invariant oracle
+(one production leg each, plus the Bloom shadow leg on SIF scenarios).
 
 Select with ``pytest -m tier2_fuzz``; also runs in the tier-1 suite."""
 
@@ -13,7 +11,7 @@ from repro.fuzz.oracles import run_scenario
 pytestmark = pytest.mark.tier2_fuzz
 
 
-def test_ten_scenarios_clean_and_differentially_identical():
+def test_ten_scenarios_clean():
     tampered = injected = 0
     for index in range(10):
         scenario = generate_scenario(0, index)
@@ -22,10 +20,9 @@ def test_ten_scenarios_clean_and_differentially_identical():
             f"{scenario.summary()}\n"
             + "\n".join(str(v) for v in result.violations)
         )
-        # all four legs actually executed (datapath x scheduler x obs)
-        assert result.heap is not None and result.obs_off is not None
-        assert result.heap.report.events_processed == result.fast.report.events_processed
-        tampered += len(result.reference.tampered_ids)
-        injected += len(result.reference.injected_ids)
+        is_sif = scenario.config.get("enforcement") == "sif"
+        assert (result.bloom_shadow is not None) == is_sif
+        tampered += len(result.run.tampered_ids)
+        injected += len(result.run.injected_ids)
     # the batch genuinely exercised the attack surface
     assert tampered + injected > 0

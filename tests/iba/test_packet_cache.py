@@ -1,11 +1,11 @@
-"""Serialization-cache invalidation: every mutation path must yield exactly
-the bytes and CRCs a freshly built packet would.
+"""No stale serialization: every mutation path must yield exactly the bytes
+and CRCs a freshly built packet would.
 
-The fast datapath memoizes packed headers, joined prefixes, full covered
-byte strings, and folded CRCs (see ``repro/iba/packet.py`` and
-``repro/iba/crc.py``).  These tests mutate every header field *after* the
-caches are warm — SIF/switch variant rewrites, PSN/P_Key churn, header
-replacement, payload swaps — and compare against a cache-cold clone.
+These tests compute every derived value of a packet, then mutate each
+header field — SIF/switch variant rewrites, PSN/P_Key churn, header
+replacement, payload swaps — and compare against a clone built from the
+mutated field values.  Any memo of packed bytes or CRCs on the packet path
+must keep them passing.
 """
 
 import pytest
@@ -18,20 +18,10 @@ from repro.iba.packet import (
     DatagramExtendedHeader,
     GlobalRouteHeader,
     LocalRouteHeader,
-    serialization_cache_enabled,
-    set_serialization_cache,
 )
 from repro.iba.types import LID, QPN
 
 from tests.conftest import make_packet
-
-
-@pytest.fixture(autouse=True)
-def _cache_on():
-    """These tests exercise the cached fast path; leave it on afterwards."""
-    set_serialization_cache(True)
-    yield
-    set_serialization_cache(True)
 
 
 def global_packet() -> DataPacket:
@@ -45,7 +35,7 @@ def global_packet() -> DataPacket:
 
 def fresh_clone(p: DataPacket) -> DataPacket:
     """Rebuild an identical packet from p's *current* field values with
-    brand-new header objects — i.e. what the caches must be equivalent to."""
+    brand-new header objects."""
     lrh = LocalRouteHeader(
         vl=p.lrh.vl, service_level=p.lrh.service_level, dlid=p.lrh.dlid,
         slid=p.lrh.slid, packet_length=p.lrh.packet_length,
@@ -78,7 +68,7 @@ def fresh_clone(p: DataPacket) -> DataPacket:
 
 
 def warm(p: DataPacket) -> None:
-    """Fill every cache layer."""
+    """Compute every derived value before the mutation under test."""
     p.invariant_bytes()
     p.variant_bytes()
     ibacrc.icrc(p)
@@ -142,7 +132,7 @@ class TestMutationInvalidation:
 
     def test_mutation_chain_sif_rewrite_then_restamp(self):
         """The in-fabric sequence: stamp → switch VL remap → VCRC restamp →
-        auth-selector flip — each step seen through warm caches."""
+        auth-selector flip."""
         p = ibacrc.stamp(make_packet(vl=0))
         warm(p)
         p.lrh.vl = 1  # switch rewrites the (variant) VL
@@ -156,7 +146,7 @@ class TestMutationInvalidation:
 
     def test_psn_churn_across_many_packets(self):
         """PSN increments (the per-packet mutation in every source) must
-        never alias a stale cache entry."""
+        never yield stale bytes."""
         p = make_packet(psn=0)
         seen = set()
         for psn in range(20):
@@ -168,30 +158,6 @@ class TestMutationInvalidation:
         assert len(seen) == 20  # every PSN produced distinct covered bytes
 
 
-class TestCacheIdentityStability:
-    def test_unmutated_packet_returns_identical_objects(self):
-        p = ibacrc.stamp(global_packet())
-        inv, var = p.invariant_bytes(), p.variant_bytes()
-        assert p.invariant_bytes() is inv  # CRC folding keys on this
-        assert p.variant_bytes() is var
-        assert p.invariant_prefix() is p.invariant_prefix()
-
-    def test_mutation_yields_new_object(self):
-        p = ibacrc.stamp(global_packet())
-        inv = p.invariant_bytes()
-        p.bth.psn += 1
-        assert p.invariant_bytes() is not inv
-
-    def test_header_packed_cache(self):
-        lrh = LocalRouteHeader(vl=0, service_level=0, dlid=LID(2), slid=LID(1), packet_length=10)
-        first = lrh.packed()
-        assert first == lrh.pack()
-        assert lrh.packed() is first
-        lrh.vl = 3
-        assert lrh.packed() == lrh.pack()
-        assert lrh.packed() is not first
-
-
 class TestPackUnpackRoundTrip:
     def test_headers_round_trip_through_cached_bytes_after_mutation(self):
         p = global_packet()
@@ -200,62 +166,7 @@ class TestPackUnpackRoundTrip:
         p.bth.psn += 9
         p.deth.qkey = QKey(0xABCD)
         p.grh.hop_limit = 17
-        assert LocalRouteHeader.unpack(p.lrh.packed()) == p.lrh
-        assert BaseTransportHeader.unpack(p.bth.packed()) == p.bth
-        assert DatagramExtendedHeader.unpack(p.deth.packed()) == p.deth
-        assert GlobalRouteHeader.unpack(p.grh.packed()) == p.grh
-
-
-class TestCacheDisabled:
-    def test_disabled_mode_is_bit_identical(self):
-        p = ibacrc.stamp(global_packet())
-        warm(p)
-        cached = (p.invariant_bytes(), p.variant_bytes(), ibacrc.icrc(p), ibacrc.vcrc(p))
-        set_serialization_cache(False)
-        assert not serialization_cache_enabled()
-        try:
-            uncached = (
-                p.invariant_bytes(), p.variant_bytes(),
-                ibacrc.icrc(p), ibacrc.vcrc(p),
-            )
-        finally:
-            set_serialization_cache(True)
-        assert cached == uncached
-
-
-class TestAuthTagMemoInvalidation:
-    """The prepare→verify MAC memo keys on invariant-bytes identity: any
-    covered-field tamper must force a real recomputation (and fail)."""
-
-    def _service(self):
-        from repro.core.auth import AUTH_FUNCTIONS, MacAuthService
-
-        class FixedKey:
-            def sender_key(self, hca, packet):
-                return b"\x17" * 16, 0
-
-            def receiver_key(self, hca, packet):
-                return b"\x17" * 16
-
-        return MacAuthService(AUTH_FUNCTIONS[3], FixedKey(), mac_stage_delay_ns=0.0)
-
-    def test_variant_rewrite_keeps_tag_valid(self):
-        svc = self._service()
-        p = make_packet()
-        svc.prepare(p, None)
-        p.lrh.vl = 1  # in-flight variant rewrite
-        assert svc.verify(p, None)
-
-    def test_invariant_tamper_fails_despite_memo(self):
-        svc = self._service()
-        p = make_packet()
-        svc.prepare(p, None)
-        p.bth.pkey = PKey(0x8002)
-        assert not svc.verify(p, None)
-
-    def test_payload_tamper_fails_despite_memo(self):
-        svc = self._service()
-        p = make_packet(payload=b"honest bytes")
-        svc.prepare(p, None)
-        p.payload = b"forged bytes"
-        assert not svc.verify(p, None)
+        assert LocalRouteHeader.unpack(p.lrh.pack()) == p.lrh
+        assert BaseTransportHeader.unpack(p.bth.pack()) == p.bth
+        assert DatagramExtendedHeader.unpack(p.deth.pack()) == p.deth
+        assert GlobalRouteHeader.unpack(p.grh.pack()) == p.grh

@@ -8,6 +8,7 @@ from repro.iba.switch import HCA_PORT, Switch
 from repro.sim.engine import Engine
 
 from tests.conftest import make_packet
+from tests.sim.heap_oracle import QUEUES, make_engine
 
 BYTE_PS = 3200
 
@@ -162,10 +163,9 @@ class TestPumpProgress:
 
 
 class TestReadyHeadIndex:
-    """The scale-core arbitration index: _head_ready[port][vl] must always
-    equal a from-scratch recount of the input FIFO heads, in both modes
-    (the counts are maintained unconditionally; only consultation is
-    wheel-gated)."""
+    """The arbitration index: _head_ready[port][vl] must always equal a
+    from-scratch recount of the input FIFO heads, whichever event queue
+    (production wheel or heap oracle) orders the run."""
 
     @staticmethod
     def assert_index_consistent(sw):
@@ -174,7 +174,7 @@ class TestReadyHeadIndex:
         sw._rebuild_head_ready()
         assert maintained == (sw._head_ready, sw._head_ready_total), sw.name
 
-    @pytest.mark.parametrize("mode", ["wheel", "heap"])
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_index_matches_recount_through_congested_run(self, mode):
         """All-pairs burst through a 3x3 mesh with tiny buffers: pause the
         run repeatedly and require the maintained counts to equal a fresh
@@ -183,7 +183,7 @@ class TestReadyHeadIndex:
         from repro.sim.config import SimConfig
         from repro.sim.metrics import MetricsCollector
 
-        engine = Engine(scheduler=mode)
+        engine = make_engine(mode)
         cfg = SimConfig(mesh_width=3, mesh_height=3, num_partitions=1,
                         vl_buffer_packets=2,
                         enable_realtime=False, enable_best_effort=False)
@@ -204,7 +204,7 @@ class TestReadyHeadIndex:
             self.assert_index_consistent(sw)
             assert sw._head_ready_total == [0] * sw.num_ports
 
-    @pytest.mark.parametrize("mode", ["wheel", "heap"])
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_reroute_rebuilds_index(self, mode):
         """reroute_buffered edits ready FIFOs in place; the index must be
         recounted against the new route table."""
@@ -212,7 +212,7 @@ class TestReadyHeadIndex:
         from repro.sim.config import SimConfig
         from repro.sim.metrics import MetricsCollector
 
-        engine = Engine(scheduler=mode)
+        engine = make_engine(mode)
         cfg = SimConfig(mesh_width=3, mesh_height=3, num_partitions=1,
                         vl_buffer_packets=2,
                         enable_realtime=False, enable_best_effort=False)

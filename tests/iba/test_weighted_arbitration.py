@@ -26,7 +26,7 @@ def loaded_buffer(rt=6, be=6):
 def drain(arb, inputs, count):
     picked = []
     for _ in range(count):
-        choice = arb.pick(0, inputs, lambda vl: True)
+        choice = arb.pick(0, inputs, [1, 1])
         if choice is None:
             break
         in_port, entry = choice

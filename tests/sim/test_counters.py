@@ -108,34 +108,11 @@ class TestCounterRegistry:
         assert not isinstance(rebound, Counter)
 
 
-class TestDisabledRegistry:
-    """The zero-cost-observability contract: a disabled registry nulls
-    plain counters but must keep *state* counters real — the simulation
-    reads those to make decisions (SIF idle-timeout deactivation)."""
+class TestStateCounter:
+    """State counters model hardware state the simulation reads (the SIF
+    violation counter); they live in the one namespace like any other."""
 
-    def test_disabled_counter_is_null(self):
-        from repro.sim.counters import CounterRegistry, NullCounter
-
-        reg = CounterRegistry(enabled=False)
-        c = reg.counter("a.b")
-        assert isinstance(c, NullCounter)
-        c.inc(5)
-        assert int(c) == 0
-        assert reg.snapshot() == {}
-
-    def test_disabled_state_counter_stays_real(self):
-        from repro.sim.counters import CounterRegistry
-
-        reg = CounterRegistry(enabled=False)
-        c = reg.state_counter("filter.sif.violation_counter")
-        c.inc(3)
-        assert int(c) == 3
-        assert reg.state_counter("filter.sif.violation_counter") is c
-        # but it must not leak into the exported namespace
-        assert reg.snapshot() == {}
-        assert reg.names() == []
-
-    def test_enabled_state_counter_is_ordinary(self):
+    def test_state_counter_is_ordinary(self):
         from repro.sim.counters import CounterRegistry
 
         reg = CounterRegistry()
@@ -143,41 +120,6 @@ class TestDisabledRegistry:
         assert reg.counter("filter.sif.violation_counter") is c
         c.inc()
         assert reg.snapshot() == {"filter.sif.violation_counter": 1}
-
-    def test_sif_idle_deactivation_independent_of_observability(self):
-        """Regression (found by fuzzing): with a disabled registry the
-        violation counter must still advance, or SIF deactivates on the
-        first idle check and the attack outcome changes."""
-        from repro.core.enforcement import SIFPortFilter
-        from repro.iba.keys import PKey
-        from repro.sim.counters import CounterRegistry
-        from repro.sim.engine import Engine
-
-        def drops_with(enabled):
-            engine = Engine()
-            sif = SIFPortFilter(
-                engine, node_pkey_indices=[0], lookup_ns=20.0,
-                idle_timeout_us=50.0,
-                registry=CounterRegistry(enabled=enabled),
-            )
-            sif.register_invalid(PKey(0x0005), engine.now)
-            dropped = 0
-
-            class _Pkt:
-                pkey = PKey(0x0005)
-
-            def offend():
-                nonlocal dropped
-                ok, _ = sif.process(_Pkt(), engine.now)
-                dropped += not ok
-                if engine.now < 400_000_000:
-                    engine.schedule(10_000_000, offend)  # every 10 us
-
-            engine.schedule(0, offend)
-            engine.run()
-            return dropped, sif.enabled
-
-        assert drops_with(True) == drops_with(False)
 
 
 class TestMergeAndSnapshot:

@@ -55,7 +55,7 @@ class TestEndpoints:
             assert seen[0]["events_processed"] < seen[-1]["events_processed"]
             assert seen[-1]["counters"]["test.ticks"] == 30
             assert seen[-1]["pending_events"] >= 1
-            assert seen[-1]["scheduler"] == engine.scheduler_mode
+            assert "scheduler" not in seen[-1]
             assert seen[-1]["trace_tail"][0]["kind"] == "boot"
 
     def test_counters_endpoint_is_counters_only(self, sim):

@@ -1,25 +1,21 @@
-"""The pluggable scheduler: wheel-vs-heap ordering equivalence.
+"""The calendar queue against the binary-heap oracle.
 
 The calendar queue must pop in the identical ``(time, priority, seq)``
-order as the binary-heap oracle — including same-instant ties,
-cancellations inside the bucket being drained, far-future events that
-span many slots, and events landing exactly on slot boundaries.  The
-randomized tests run the *same* seeded chaos workload through both
-modes and require bit-identical firing logs.
+order as a binary heap — including same-instant ties, cancellations
+inside the bucket being drained, pushes into that bucket, far-future
+events that span many slots, and events landing exactly on slot
+boundaries.  The property test drives :class:`WheelScheduler` and a plain
+``heapq`` through the same random operations; the engine-level tests run
+on both the production queue and the heap oracle of ``heap_oracle.py``.
 """
 
+import heapq
 import random
 
 import pytest
 
-from repro.sim.engine import Engine
-from repro.sim.scheduler import (
-    MODES,
-    SLOT_BITS,
-    get_scheduler,
-    make_scheduler,
-    set_scheduler,
-)
+from repro.sim.scheduler import SLOT_BITS, WheelScheduler
+from tests.sim.heap_oracle import QUEUES, make_engine
 
 SLOT_PS = 1 << SLOT_BITS
 
@@ -30,62 +26,74 @@ DELAYS = (0, 0, 1, 7, SLOT_PS - 1, SLOT_PS, SLOT_PS + 1,
           5 * SLOT_PS, 40_000, 1 << 20, (1 << 22) + 17)
 
 
-def chaos_log(mode, seed, initial=40, budget=600):
-    """Run a seeded self-rescheduling workload; return the firing log.
+class _Ev:
+    """The one event attribute a queue reads."""
 
-    Callbacks draw from the shared RNG at fire time, so any ordering
-    divergence between modes immediately desynchronizes the logs — the
-    comparison is therefore sensitive to a single out-of-order pop.
-    """
-    rng = random.Random(seed)
-    eng = Engine(scheduler=mode)
-    log = []
-    handles = []
-    remaining = [budget]
-    ids = iter(range(10**6))
+    __slots__ = ("cancelled",)
 
-    def fire(tag):
-        log.append((eng.now, tag))
-        for _ in range(rng.randrange(0, 3)):
-            if remaining[0] <= 0:
-                break
-            remaining[0] -= 1
-            delay = rng.choice(DELAYS)
-            prio = rng.choice((0, 0, 0, 1))
-            tag2 = f"e{next(ids)}"
-            if rng.random() < 0.25:
-                handles.append(eng.schedule(delay, fire, tag2, priority=prio))
-            else:
-                eng.schedule_pooled(delay, fire, tag2, priority=prio)
-        # cancel a random still-pending cancellable event now and then —
-        # some of these are mid-bucket behind the wheel's drain cursor
-        if handles and rng.random() < 0.3:
-            handles.pop(rng.randrange(len(handles))).cancel()
-
-    for i in range(initial):
-        remaining[0] -= 1
-        eng.schedule(rng.choice(DELAYS), fire, f"s{i}")
-    eng.run()
-    return log, eng
+    def __init__(self) -> None:
+        self.cancelled = False
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
 def test_wheel_matches_heap_chaos(seed):
-    wheel_log, wheel_eng = chaos_log("wheel", seed)
-    heap_log, heap_eng = chaos_log("heap", seed)
-    assert wheel_log == heap_log
-    assert wheel_log, "workload must actually fire events"
-    assert wheel_eng.events_processed == heap_eng.events_processed
-    assert wheel_eng.now == heap_eng.now
+    """Property: the same random pushes, cancels and pops through the wheel
+    and through ``heapq`` pop the same entries in the same order.
+
+    After every pop, new entries land at the popped instant (same-instant
+    ties and pushes into the bucket being drained, at either priority)
+    and later; pending entries are cancelled now and then, some of them
+    already sorted into the bucket being drained."""
+    rng = random.Random(seed)
+    wheel = WheelScheduler()
+    oracle: list = []
+    cancellable: list[_Ev] = []
+    seq = 0
+
+    def push(time: int) -> None:
+        nonlocal seq
+        ev = _Ev()
+        entry = (time, rng.choice((0, 0, 0, 1)), seq, ev)
+        seq += 1
+        wheel.push(entry)
+        heapq.heappush(oracle, entry)
+        cancellable.append(ev)
+
+    for _ in range(40):
+        push(rng.choice(DELAYS))
+    budget = 600
+    popped = []
+    while True:
+        head = wheel.peek()
+        while oracle and oracle[0][3].cancelled:
+            heapq.heappop(oracle)
+        assert head is (oracle[0] if oracle else None)
+        if head is None:
+            break
+        wheel.pop_head()
+        heapq.heappop(oracle)
+        popped.append(head[:3])
+        now = head[0]
+        for _ in range(rng.randrange(0, 3)):
+            if budget <= 0:
+                break
+            budget -= 1
+            push(now + rng.choice(DELAYS))
+        if cancellable and rng.random() < 0.3:
+            cancellable.pop(rng.randrange(len(cancellable))).cancelled = True
+    assert len(popped) > 100, "workload must actually pop entries"
+    assert popped == sorted(popped, key=lambda e: e[0])
+    assert len(wheel) == 0
 
 
 @pytest.mark.parametrize("seed", [3, 99])
 def test_wheel_matches_heap_under_chunked_runs(seed):
-    """Alternating run(until=...) and run(max_events=...) slices must not
-    perturb ordering relative to one uninterrupted drain."""
-    def chunked(mode):
+    """Alternating run(until=...) and run(max_events=...) slices of an
+    engine on the wheel fire the same events at the same times as the same
+    slices on the heap oracle."""
+    def chunked(queue):
         rng = random.Random(seed)
-        eng = Engine(scheduler=mode)
+        eng = make_engine(queue)
         log = []
 
         def fire(tag):
@@ -110,27 +118,27 @@ def test_wheel_matches_heap_under_chunked_runs(seed):
 
 
 class TestOrdering:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_same_instant_ties_fire_in_schedule_order(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         for i in range(10):
             eng.schedule(100, log.append, i)
         eng.run()
         assert log == list(range(10))
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_priority_breaks_same_time_ties(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         eng.schedule(100, log.append, "late", priority=1)
         eng.schedule(100, log.append, "early", priority=0)
         eng.run()
         assert log == ["early", "late"]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_far_future_slots_pop_in_time_order(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         times = [9 * SLOT_PS, 2 * SLOT_PS, 123, 7 * SLOT_PS + 5, 0]
         for t in times:
@@ -138,11 +146,11 @@ class TestOrdering:
         eng.run()
         assert log == sorted(times)
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_callback_push_into_current_instant(self, mode):
         """An event scheduled at delay 0 from inside a callback lands in
         the bucket being drained and must fire before later times."""
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
 
         def outer():
@@ -156,11 +164,11 @@ class TestOrdering:
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_cancelled_mid_bucket_is_skipped(self, mode):
         """Cancel a same-slot event from an earlier callback: the wheel has
         already sorted the victim into the bucket being drained."""
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         victim = eng.schedule(100, log.append, "victim")
         eng.schedule(99, lambda: victim.cancel())
@@ -168,9 +176,9 @@ class TestCancellation:
         eng.run()
         assert log == ["after"]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_cancelled_does_not_consume_budget(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         eng.schedule(10, log.append, "a")
         dead = eng.schedule(20, log.append, "dead")
@@ -179,9 +187,9 @@ class TestCancellation:
         eng.run(max_events=2)
         assert log == ["a", "b"]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_cancelled_not_counted_in_events_processed(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         dead = eng.schedule(10, lambda: None)
         dead.cancel()
         eng.schedule(20, lambda: None)
@@ -190,9 +198,9 @@ class TestCancellation:
 
 
 class TestDrainEdges:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_budget_stops_mid_bucket(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         for i in range(5):
             eng.schedule(100, log.append, i)  # all one bucket
@@ -202,9 +210,9 @@ class TestDrainEdges:
         eng.run()
         assert log == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_until_cuts_mid_bucket(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         eng.schedule(10, log.append, "early")   # same slot as `late`
         eng.schedule(20, log.append, "late")
@@ -214,20 +222,20 @@ class TestDrainEdges:
         eng.run()
         assert log == ["early", "late"]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_until_is_inclusive(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         eng.schedule(100, log.append, "edge")
         eng.run(until=100)
         assert log == ["edge"]
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_budget_hit_before_until_holds_clock(self, mode):
         """When max_events cuts the run with work still pending at or
         before `until`, the clock must stay at the last processed event
         so a resumed run does not jump the unprocessed timestamps."""
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         log = []
         for t in (10, 20, 30):
             eng.schedule_at(t, log.append, t)
@@ -238,9 +246,9 @@ class TestDrainEdges:
         assert log == [10, 20, 30]
         assert eng.now == 100
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", QUEUES)
     def test_run_on_empty_queue_advances_to_until(self, mode):
-        eng = Engine(scheduler=mode)
+        eng = make_engine(mode)
         eng.run(until=500)
         assert eng.now == 500
         assert eng.events_processed == 0
@@ -248,7 +256,7 @@ class TestDrainEdges:
 
 class TestEventPooling:
     def test_wheel_recycles_pooled_events(self):
-        eng = Engine(scheduler="wheel")
+        eng = make_engine()
         eng.schedule_pooled(10, lambda: None)
         eng.run()
         assert len(eng._pool) == 1
@@ -259,18 +267,11 @@ class TestEventPooling:
         eng.run()
         assert eng._pool[0] is recycled
 
-    def test_heap_never_pools(self):
-        eng = Engine(scheduler="heap")
-        eng.schedule_pooled(10, lambda: None)
-        eng.run()
-        assert eng._pool == []
-        assert eng.events_processed == 1
-
     def test_pooled_ordering_matches_schedule(self):
         """schedule_pooled consumes a seq like schedule — interleaving the
         two must preserve FIFO among same-instant events."""
-        for mode in MODES:
-            eng = Engine(scheduler=mode)
+        for mode in QUEUES:
+            eng = make_engine(mode)
             log = []
             eng.schedule(100, log.append, 0)
             eng.schedule_pooled(100, log.append, 1)
@@ -280,40 +281,7 @@ class TestEventPooling:
             assert log == [0, 1, 2, 3], mode
 
     def test_step_recycles_pooled_events_too(self):
-        eng = Engine(scheduler="wheel")
+        eng = make_engine()
         eng.schedule_pooled(10, lambda: None)
         assert eng.step() is True
         assert len(eng._pool) == 1
-
-
-class TestModeSelection:
-    def test_set_scheduler_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown scheduler mode"):
-            set_scheduler("btree")
-
-    def test_make_scheduler_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown scheduler mode"):
-            make_scheduler("btree")
-
-    def test_engine_samples_mode_at_construction(self):
-        prev = get_scheduler()
-        try:
-            set_scheduler("wheel")
-            eng = Engine()
-            set_scheduler("heap")
-            assert eng.scheduler_mode == "wheel"
-            assert Engine().scheduler_mode == "heap"
-        finally:
-            set_scheduler(prev)
-
-    def test_scale_core_tracks_mode(self):
-        assert Engine(scheduler="wheel").scale_core is True
-        assert Engine(scheduler="heap").scale_core is False
-
-    def test_explicit_mode_overrides_global(self):
-        prev = get_scheduler()
-        try:
-            set_scheduler("heap")
-            assert Engine(scheduler="wheel").scheduler_mode == "wheel"
-        finally:
-            set_scheduler(prev)

@@ -6,8 +6,11 @@ flag file (environment-passed path) because worker state does not persist
 between attempts.
 """
 
+import json
 import os
 import pickle
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -108,35 +111,37 @@ class TestRunCache:
         assert config_key(base) != config_key(base.replace(seed=2))
         assert config_key(base) != config_key(base.replace(sim_time_us=151.0))
 
-    def test_cache_key_tracks_datapath_mode(self, base):
-        """Regression: a REPRO_DATAPATH=reference debug sweep must never be
-        served fast-mode cache entries."""
-        from repro.datapath import get_datapath, set_datapath
-
-        prev = get_datapath()
-        try:
-            set_datapath("fast")
-            fast_key = config_key(base)
-            set_datapath("reference")
-            reference_key = config_key(base)
-        finally:
-            set_datapath(prev)
-        assert fast_key != reference_key
-
-    def test_cache_key_tracks_scheduler_mode(self, base):
-        """Regression: a REPRO_SCHEDULER=heap oracle sweep must never be
-        served wheel-mode cache entries (CACHE_VERSION 4)."""
-        from repro.sim.scheduler import get_scheduler, set_scheduler
-
-        prev = get_scheduler()
-        try:
-            set_scheduler("wheel")
-            wheel_key = config_key(base)
-            set_scheduler("heap")
-            heap_key = config_key(base)
-        finally:
-            set_scheduler(prev)
-        assert wheel_key != heap_key
+    @pytest.mark.parametrize("env", [
+        "REPRO_DATAPATH=reference",
+        "REPRO_SCHEDULER=heap",
+        "REPRO_OBSERVABILITY=off",
+    ], ids=["datapath", "scheduler", "observability"])
+    def test_stray_mode_env_var_is_ignored(self, base, env):
+        """There are no run modes: a leftover mode variable from an older
+        checkout is ignored, so it neither splits the cache key nor
+        changes what a run simulates."""
+        name, value = env.split("=")
+        script = (
+            "import json, pickle, sys\n"
+            "from repro.sim.runner import run_simulation\n"
+            "from repro.sim.sweep import config_key\n"
+            "cfg = pickle.loads(sys.stdin.buffer.read())\n"
+            "r = run_simulation(cfg)\n"
+            "print(json.dumps([config_key(cfg), r.counters, r.drops,"
+            " r.delivered, r.events_processed]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(base),
+            capture_output=True, check=True,
+            env={**os.environ, name: value, "PYTHONPATH": src},
+        )
+        key, counters, drops, delivered, events = json.loads(proc.stdout)
+        report = run_simulation(base)
+        assert key == config_key(base)
+        assert counters == report.counters
+        assert drops == report.drops
+        assert (delivered, events) == (report.delivered, report.events_processed)
 
     def test_cache_version_bump_invalidates(self, base, monkeypatch):
         """Regression: the v3->v4 bump must change every key, so stale v3
@@ -168,6 +173,16 @@ class TestRunCache:
 
         current = config_key(base)
         monkeypatch.setattr(sweep_mod, "CACHE_VERSION", 5)
+        assert config_key(base) != current
+
+    def test_cache_version_7_invalidates_mode_keyed_entries(self, base, monkeypatch):
+        """Regression: the v6->v7 bump must change every key — v6 pickles
+        were keyed on datapath/scheduler modes that no longer exist and
+        stored SimReport's headline totals as fields."""
+        from repro.sim import sweep as sweep_mod
+
+        current = config_key(base)
+        monkeypatch.setattr(sweep_mod, "CACHE_VERSION", 6)
         assert config_key(base) != current
 
     def test_cache_key_tracks_traffic_family_fields(self, base):

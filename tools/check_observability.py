@@ -1,9 +1,8 @@
 #!/usr/bin/env python
-"""Lint: forbid observability calls that bypass the no-op swap.
+"""Lint: forbid observability calls that bypass construction-time binding.
 
-The zero-cost observability layer (see DESIGN.md) removes per-event
-``if`` checks from the hot path by *binding* the right callable once at
-construction time::
+The hot path carries no per-event ``if`` checks for observability: the
+right callable is *bound* once at construction time::
 
     self._trace = tracer.record if tracer is not None else null_trace
 
@@ -56,7 +55,7 @@ DEFAULT_FILES = (
 )
 
 #: Registry lookup methods that must only run at construction time.
-REGISTRY_LOOKUPS = {"counter", "gauge", "state_counter"}
+REGISTRY_LOOKUPS = {"counter", "gauge"}
 
 #: Enclosing functions that are allowed construction-time registry lookups.
 SETUP_FUNCTIONS = {"__init__"}
