@@ -3,8 +3,9 @@
 
 Packages:
 
-* :mod:`repro.crypto` — from-scratch CRC-32 / MD5 / SHA-1 / HMAC / UMAC /
-  RSA / XTEA / PMAC / stream-cipher MAC.
+* :mod:`repro.crypto` — from-scratch UMAC / RSA / XTEA / PMAC / AES-CMAC /
+  stream-cipher MAC; CRC-32 / MD5 / SHA-1 / HMAC computed by the standard
+  library, with from-scratch versions kept as oracles and Table 4 specimens.
 * :mod:`repro.sim` — discrete-event engine, config, metrics, traffic,
   experiment runner.
 * :mod:`repro.iba` — InfiniBand fabric: packets, CRCs, keys, VLs, credit

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
+from repro.crypto.cmac import AESCMAC
 from repro.crypto.hmac import hmac_md5, hmac_sha1, tag32
 from repro.crypto.pmac import PMAC
 from repro.crypto.stream import stream_mac
@@ -55,29 +56,47 @@ class AuthFunction:
     name: str
     #: (key, message, nonce) -> 32-bit tag.
     compute: Callable[[bytes, bytes, int], int]
+    #: key -> (message, nonce) -> tag, for functions whose key schedule is
+    #: worth running once per key; None when ``compute`` needs no schedule.
+    keyed: Callable[[bytes], Callable[[bytes, int], int]] | None = None
+
+    def bind(self) -> Callable[[bytes, bytes, int], int]:
+        """``compute`` for one run: keyed instances are cached in the
+        returned closure, so they are dropped with the run that holds it."""
+        keyed = self.keyed
+        if keyed is None:
+            return self.compute
+        instances: dict[bytes, Callable[[bytes, int], int]] = {}
+
+        def compute(key: bytes, message: bytes, nonce: int) -> int:
+            inst = instances.get(key)
+            if inst is None:
+                inst = instances[key] = keyed(key)
+            return inst(message, nonce)
+
+        return compute
 
 
-def _umac_compute(key: bytes, message: bytes, nonce: int) -> int:
-    return _umac_instance(key).tag(message, nonce)
+def _keyed_function(
+    ident: int, name: str, keyed: Callable[[bytes], Callable[[bytes, int], int]]
+) -> AuthFunction:
+    """A registry entry whose stateless ``compute`` runs the key schedule
+    per call; runs use :meth:`AuthFunction.bind` to run it once per key."""
+    return AuthFunction(ident, name, lambda key, message, nonce: keyed(key)(message, nonce), keyed)
 
 
-# UMAC/PMAC key schedules are expensive; cache instances per key.
-_UMAC_CACHE: dict[bytes, UMAC] = {}
-_PMAC_CACHE: dict[bytes, PMAC] = {}
+def _umac_keyed(key: bytes) -> Callable[[bytes, int], int]:
+    return UMAC(key).tag
 
 
-def _umac_instance(key: bytes) -> UMAC:
-    inst = _UMAC_CACHE.get(key)
-    if inst is None:
-        inst = _UMAC_CACHE[key] = UMAC(key)
-    return inst
+def _pmac_keyed(key: bytes) -> Callable[[bytes, int], int]:
+    tag = PMAC(key).tag
+    return lambda message, nonce: tag(nonce.to_bytes(8, "big") + message)
 
 
-def _pmac_compute(key: bytes, message: bytes, nonce: int) -> int:
-    inst = _PMAC_CACHE.get(key)
-    if inst is None:
-        inst = _PMAC_CACHE[key] = PMAC(key)
-    return inst.tag(nonce.to_bytes(8, "big") + message)
+def _cmac_keyed(key: bytes) -> Callable[[bytes, int], int]:
+    tag = AESCMAC(key).tag
+    return lambda message, nonce: tag(nonce.to_bytes(8, "big") + message)
 
 
 def _hmac_md5_compute(key: bytes, message: bytes, nonce: int) -> int:
@@ -88,26 +107,15 @@ def _hmac_sha1_compute(key: bytes, message: bytes, nonce: int) -> int:
     return tag32(hmac_sha1(key, nonce.to_bytes(8, "big") + message))
 
 
-def _cmac_compute(key: bytes, message: bytes, nonce: int) -> int:
-    from repro.crypto.cmac import AESCMAC
-
-    inst = _CMAC_CACHE.get(key)
-    if inst is None:
-        inst = _CMAC_CACHE[key] = AESCMAC(key)
-    return inst.tag(nonce.to_bytes(8, "big") + message)
-
-
-_CMAC_CACHE: dict[bytes, object] = {}
-
 #: The registry, keyed by the BTH Reserved value.  Slot 6 is taken by the
 #: Section-7 partial-digest wrapper (:mod:`repro.core.fastmac`).
 AUTH_FUNCTIONS: dict[int, AuthFunction] = {
-    1: AuthFunction(1, "umac", _umac_compute),
+    1: _keyed_function(1, "umac", _umac_keyed),
     2: AuthFunction(2, "hmac-md5", _hmac_md5_compute),
     3: AuthFunction(3, "hmac-sha1", _hmac_sha1_compute),
-    4: AuthFunction(4, "pmac", _pmac_compute),
+    4: _keyed_function(4, "pmac", _pmac_keyed),
     5: AuthFunction(5, "stream", stream_mac),
-    7: AuthFunction(7, "aes-cmac", _cmac_compute),
+    7: _keyed_function(7, "aes-cmac", _cmac_keyed),
 }
 
 _MODE_TO_ID = {
@@ -176,6 +184,7 @@ class MacAuthService:
         registry: "CounterRegistry | None" = None,
     ) -> None:
         self.func = func
+        self._compute = func.bind()  # per-key MAC instances live as long as the service
         self.keymgr = keymgr
         self._stage_ps = round(mac_stage_delay_ns * PS_PER_NS)
         self.on_demand = on_demand_partitions
@@ -202,7 +211,7 @@ class MacAuthService:
         packet.bth.reserved_auth = self.func.ident
         message = packet.invariant_bytes()
         nonce = packet.nonce
-        tag = self.func.compute(key, message, nonce)
+        tag = self._compute(key, message, nonce)
         packet.icrc = tag
         packet._auth_tag_memo = (self.func.ident, key, message, nonce, tag)
         self.tags_generated.inc()
@@ -231,7 +240,7 @@ class MacAuthService:
         ):
             expected = memo[4]
         else:
-            expected = self.func.compute(key, message, nonce)
+            expected = self._compute(key, message, nonce)
         if expected == packet.icrc:
             self.tags_verified.inc()
             return True

@@ -21,6 +21,7 @@ adversary knows which bytes are uncovered — which the ablation quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis.forgery import partial_digest_forgery
 from repro.core.auth import AuthFunction
@@ -98,3 +99,7 @@ class PartialDigestFunction:
 
     def compute(self, key: bytes, message: bytes, nonce: int) -> int:
         return self.inner.compute(key, self.select(message), nonce)
+
+    def bind(self) -> Callable[[bytes, bytes, int], int]:
+        inner = self.inner.bind()
+        return lambda key, message, nonce: inner(key, self.select(message), nonce)

@@ -2,8 +2,12 @@
 
 Reprints the paper's normalized table (from :mod:`repro.analysis.performance`),
 verifies the normalization arithmetic against the cited raw data points, and
-measures this repo's own pure-Python implementations to confirm the
-*ordering* the paper's argument needs (CRC/universal-hash fast, HMACs slow).
+measures this repo's own implementations to confirm the *ordering* the
+paper's argument needs (CRC/universal-hash fast, HMACs slow).
+
+The "py MB/s" column times the from-scratch pure-Python specimens
+(``crc32_pure``, the UMAC hash, ``hmac(key, msg, MD5/SHA1)``), not the
+production CRC and HMACs, which are the standard library's C code.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ def format_table4(rows: list[Table4Row]) -> str:
         lines.append(
             f"{r.algorithm:<10} {r.cycles_per_byte:>12.2f} {r.gbps_at_350mhz:>10.2f} "
             f"{forgery:>10} {measured}"
+        )
+    if any(r.measured_python_mbps for r in rows):
+        lines.append(
+            "py MB/s: from-scratch pure-Python specimens "
+            "(production CRC-32 and HMACs are the stdlib's C code)"
         )
     achievable, ok = umac_line_rate_check()
     lines.append(

@@ -1,20 +1,30 @@
 """ICRC-as-MAC: the auth-function registry, tag generation/verification for
 every algorithm, fallback behaviour, on-demand partitions, forgery odds."""
 
+import gc
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.core import auth
 from repro.core.auth import (
     AUTH_FUNCTIONS,
+    AuthFunction,
     IcrcAuthService,
     MacAuthService,
     auth_function_for,
 )
+from repro.crypto.umac import UMAC
 from repro.core.keymgmt import NodeDirectory, PartitionLevelKeyManager
 from repro.iba import crc as ibacrc
 from repro.iba.keys import PKey
-from repro.sim.config import AuthMode
+from repro.sim.config import AuthMode, KeyMgmtMode, SimConfig
+from repro.sim.runner import run_simulation
 
 from tests.conftest import make_packet
 
@@ -238,3 +248,79 @@ class TestAuthTagMemoInvalidation:
         p.payload = b"forged bytes"
         assert not svc.verify(p, None)
         assert len(calls) == 2
+
+
+class TestBoundCompute:
+    """Per-key MAC instances live in the closure ``AuthFunction.bind``
+    returns, so each run (each MacAuthService) owns its own."""
+
+    @pytest.mark.parametrize("ident", sorted(AUTH_FUNCTIONS))
+    def test_bound_compute_gives_the_registry_tags(self, ident):
+        func = AUTH_FUNCTIONS[ident]
+        bound = func.bind()
+        for key in (b"k" * 16, b"j" * 16, b"k" * 16):
+            assert bound(key, b"message", 3) == func.compute(key, b"message", 3)
+
+    def test_each_bind_builds_its_own_instances(self):
+        built = []
+        func = AUTH_FUNCTIONS[1]
+
+        def keyed(key):
+            built.append(key)
+            return func.keyed(key)
+
+        counting = AuthFunction(func.ident, "counting", func.compute, keyed)
+        first, second = counting.bind(), counting.bind()
+        for _ in range(3):
+            first(b"k" * 16, b"m", 1)
+        second(b"k" * 16, b"m", 1)
+        assert built == [b"k" * 16, b"k" * 16]
+
+
+def _run_fingerprint(report):
+    return {
+        "counters": dict(sorted(report.counters.items())),
+        "drops": dict(sorted(report.drops.items())),
+        "stats": {n: [s.queuing_us, s.network_us, s.count] for n, s in sorted(report.stats.items())},
+        "delivered": report.delivered,
+        "events": report.events_processed,
+    }
+
+
+_QP_UMAC_RUN = dict(sim_time_us=40.0, warmup_us=0.0, seed=11, num_attackers=0)
+
+_FRESH_PROCESS_RUN = """
+import json
+from repro.sim.config import AuthMode, KeyMgmtMode, SimConfig
+from repro.sim.runner import run_simulation
+from tests.core.test_auth import _QP_UMAC_RUN, _run_fingerprint
+report = run_simulation(SimConfig(auth=AuthMode.UMAC, keymgmt=KeyMgmtMode.QP, **_QP_UMAC_RUN))
+print(json.dumps(_run_fingerprint(report)))
+"""
+
+
+class TestRunScopedKeySchedules:
+    def test_runs_leave_no_module_level_state_and_match_fresh_processes(self):
+        def live_umacs():
+            gc.collect()
+            return sum(isinstance(o, UMAC) for o in gc.get_objects())
+
+        def module_dicts():
+            return {n: len(v) for n, v in vars(auth).items() if isinstance(v, dict)}
+
+        config = SimConfig(auth=AuthMode.UMAC, keymgmt=KeyMgmtMode.QP, **_QP_UMAC_RUN)
+        umacs, dicts = live_umacs(), module_dicts()
+        reports = [run_simulation(config) for _ in range(2)]
+        assert reports[0].counter("keymgmt.exchanges") > 0  # QP keys were minted
+        assert live_umacs() == umacs
+        assert module_dicts() == dicts
+
+        repo = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo)]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS_RUN],
+            capture_output=True, text=True, cwd=repo, env=env, check=True,
+        )
+        expected = json.loads(fresh.stdout)
+        for report in reports:
+            assert json.loads(json.dumps(_run_fingerprint(report))) == expected

@@ -56,6 +56,13 @@ class TestDetection:
         f = PartialDigestFunction(UMAC, 0.5)
         assert f.compute(KEY, MESSAGE, 1) == f.compute(KEY, MESSAGE, 1)
 
+    def test_bound_compute_gives_the_same_tags(self):
+        f = PartialDigestFunction(UMAC, 0.5)
+        bound = f.bind()
+        assert [bound(KEY, MESSAGE, n) for n in range(3)] == [
+            f.compute(KEY, MESSAGE, n) for n in range(3)
+        ]
+
     def test_prefix_tamper_always_detected(self):
         f = PartialDigestFunction(UMAC, 0.25)
         t = f.compute(KEY, MESSAGE, 1)

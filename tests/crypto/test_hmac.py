@@ -1,4 +1,8 @@
-"""HMAC against RFC 2202 test vectors, the stdlib, and truncation rules."""
+"""HMAC against RFC 2202 test vectors, the stdlib, and truncation rules.
+
+The vector classes run against the production ``hmac_md5``/``hmac_sha1``
+(stdlib) and, through their ``Oracle`` subclasses, against the from-scratch
+``hmac(key, msg, MD5/SHA1)``."""
 
 import hashlib
 import hmac as stdlib_hmac
@@ -33,23 +37,50 @@ RFC2202_SHA1 = [
 ]
 
 
+def oracle_md5(key, msg):
+    return hmac(key, msg, MD5)
+
+
+def oracle_sha1(key, msg):
+    return hmac(key, msg, SHA1)
+
+
 class TestRfc2202:
+    md5_mac = staticmethod(hmac_md5)
+    sha1_mac = staticmethod(hmac_sha1)
+
     @pytest.mark.parametrize("key,msg,expected", RFC2202_MD5)
     def test_hmac_md5(self, key, msg, expected):
-        assert hmac_md5(key, msg).hex() == expected
+        assert self.md5_mac(key, msg).hex() == expected
 
     @pytest.mark.parametrize("key,msg,expected", RFC2202_SHA1)
     def test_hmac_sha1(self, key, msg, expected):
-        assert hmac_sha1(key, msg).hex() == expected
+        assert self.sha1_mac(key, msg).hex() == expected
+
+
+class TestRfc2202Oracle(TestRfc2202):
+    md5_mac = staticmethod(oracle_md5)
+    sha1_mac = staticmethod(oracle_sha1)
+
+
+def shaped(key_len, msg_len):
+    key = bytes((i * 3) & 0xFF for i in range(key_len))
+    msg = bytes((i * 5) & 0xFF for i in range(msg_len))
+    return key, msg, stdlib_hmac.new(key, msg, hashlib.sha1).digest()
 
 
 class TestAgainstStdlib:
     @pytest.mark.parametrize("key_len", [0, 1, 16, 63, 64, 65, 200])
     @pytest.mark.parametrize("msg_len", [0, 1, 64, 1000])
     def test_sha1_all_shapes(self, key_len, msg_len):
-        key = bytes((i * 3) & 0xFF for i in range(key_len))
-        msg = bytes((i * 5) & 0xFF for i in range(msg_len))
-        assert hmac_sha1(key, msg) == stdlib_hmac.new(key, msg, hashlib.sha1).digest()
+        key, msg, expected = shaped(key_len, msg_len)
+        assert hmac_sha1(key, msg) == expected
+
+    @pytest.mark.parametrize("key_len", [0, 1, 16, 63, 64, 65, 200])
+    @pytest.mark.parametrize("msg_len", [0, 1, 64, 1000])
+    def test_oracle_sha1_all_shapes(self, key_len, msg_len):
+        key, msg, expected = shaped(key_len, msg_len)
+        assert oracle_sha1(key, msg) == expected
 
     def test_md5_generic_entry_point(self):
         assert hmac(b"key", b"msg", MD5) == stdlib_hmac.new(b"key", b"msg", hashlib.md5).digest()

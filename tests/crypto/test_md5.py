@@ -1,5 +1,8 @@
 """MD5 against RFC 1321 test vectors and hashlib, plus incremental-API
-behaviour (chunking, copy, block boundaries)."""
+behaviour (chunking, copy, block boundaries).
+
+The vector classes run against the production :func:`md5` (hashlib) and,
+through their ``Oracle`` subclasses, against the from-scratch :class:`MD5`."""
 
 import hashlib
 
@@ -24,21 +27,37 @@ RFC1321_VECTORS = [
 ]
 
 
+def oracle_md5(data):
+    return MD5(data).digest()
+
+
 class TestRfcVectors:
+    digest = staticmethod(md5)
+
     @pytest.mark.parametrize("message,expected", RFC1321_VECTORS)
     def test_vector(self, message, expected):
-        assert md5(message).hex() == expected
+        assert self.digest(message).hex() == expected
+
+
+class TestRfcVectorsOracle(TestRfcVectors):
+    digest = staticmethod(oracle_md5)
 
 
 class TestAgainstHashlib:
+    digest = staticmethod(md5)
+
     @pytest.mark.parametrize("size", [0, 1, 55, 56, 57, 63, 64, 65, 127, 128, 1000, 4096])
     def test_block_boundaries(self, size):
         data = bytes(i & 0xFF for i in range(size))
-        assert md5(data) == hashlib.md5(data).digest()
+        assert self.digest(data) == hashlib.md5(data).digest()
 
     def test_large_input(self):
         data = b"x" * 100_000
-        assert md5(data) == hashlib.md5(data).digest()
+        assert self.digest(data) == hashlib.md5(data).digest()
+
+
+class TestAgainstHashlibOracle(TestAgainstHashlib):
+    digest = staticmethod(oracle_md5)
 
 
 class TestIncremental:

@@ -3,7 +3,8 @@
 These pin the algebraic properties the paper's design depends on:
 CRC linearity (why CRC is not a MAC), MAC determinism and input
 sensitivity, hash/stdlib agreement on arbitrary inputs, RSA round trips,
-and XTEA permutation behaviour.
+and XTEA permutation behaviour.  The hash/stdlib cross-checks cover both
+the production functions and the from-scratch oracle classes.
 """
 
 import hashlib
@@ -12,9 +13,9 @@ import zlib
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.crc32 import CRC32, crc32
-from repro.crypto.hmac import hmac_sha1
-from repro.crypto.md5 import md5
-from repro.crypto.sha1 import sha1
+from repro.crypto.hmac import hmac, hmac_sha1
+from repro.crypto.md5 import MD5, md5
+from repro.crypto.sha1 import SHA1, sha1
 from repro.crypto.umac import UMAC
 from repro.crypto.xtea import XTEA
 
@@ -25,11 +26,13 @@ keys16 = st.binary(min_size=16, max_size=16)
 @given(small_bytes)
 def test_md5_matches_hashlib(data):
     assert md5(data) == hashlib.md5(data).digest()
+    assert MD5(data).digest() == hashlib.md5(data).digest()
 
 
 @given(small_bytes)
 def test_sha1_matches_hashlib(data):
     assert sha1(data) == hashlib.sha1(data).digest()
+    assert SHA1(data).digest() == hashlib.sha1(data).digest()
 
 
 @given(small_bytes)
@@ -86,7 +89,9 @@ def test_umac_bitflip_detected(key, message, nonce, pos):
 def test_hmac_matches_stdlib(key, msg):
     import hmac as stdlib_hmac
 
-    assert hmac_sha1(key, msg) == stdlib_hmac.new(key, msg, hashlib.sha1).digest()
+    expected = stdlib_hmac.new(key, msg, hashlib.sha1).digest()
+    assert hmac_sha1(key, msg) == expected
+    assert hmac(key, msg, SHA1) == expected
 
 
 @given(keys16, st.binary(min_size=8, max_size=8))

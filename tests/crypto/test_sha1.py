@@ -1,4 +1,7 @@
-"""SHA-1 against FIPS 180-1 vectors and hashlib."""
+"""SHA-1 against FIPS 180-1 vectors and hashlib.
+
+The vector classes run against the production :func:`sha1` (hashlib) and,
+through their ``Oracle`` subclasses, against the from-scratch :class:`SHA1`."""
 
 import hashlib
 
@@ -16,21 +19,37 @@ FIPS_VECTORS = [
 ]
 
 
+def oracle_sha1(data):
+    return SHA1(data).digest()
+
+
 class TestFipsVectors:
+    digest = staticmethod(sha1)
+
     @pytest.mark.parametrize("message,expected", FIPS_VECTORS)
     def test_vector(self, message, expected):
-        assert sha1(message).hex() == expected
+        assert self.digest(message).hex() == expected
 
     def test_million_a(self):
         # FIPS 180-1 appendix: one million repetitions of "a".
-        assert sha1(b"a" * 1_000_000).hex() == "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+        assert self.digest(b"a" * 1_000_000).hex() == "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+
+
+class TestFipsVectorsOracle(TestFipsVectors):
+    digest = staticmethod(oracle_sha1)
 
 
 class TestAgainstHashlib:
+    digest = staticmethod(sha1)
+
     @pytest.mark.parametrize("size", [0, 1, 55, 56, 57, 63, 64, 65, 127, 128, 1000, 4096])
     def test_block_boundaries(self, size):
         data = bytes((i * 7) & 0xFF for i in range(size))
-        assert sha1(data) == hashlib.sha1(data).digest()
+        assert self.digest(data) == hashlib.sha1(data).digest()
+
+
+class TestAgainstHashlibOracle(TestAgainstHashlib):
+    digest = staticmethod(oracle_sha1)
 
 
 class TestIncremental:

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """One-shot runner for every repo AST lint.
 
-Runs both custom linters over their default scopes:
+Runs every custom linter over its default scope:
 
 * ``check_bare_counters`` — no bare ``self.x += 1`` statistics in iba/core;
   every counter must live in the CounterRegistry.
 * ``check_observability`` — hot-path code must go through the bound
   ``self._trace`` no-op swap and construction-time counter binding, never
   ``self.tracer.record(...)`` or per-event registry lookups.
+* ``check_crypto_oracles`` — production code outside ``crypto/`` never
+  imports the from-scratch SHA1/MD5/hmac/CRC oracles.
 
 Usage::
 
@@ -26,11 +28,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check_bare_counters  # noqa: E402
+import check_crypto_oracles  # noqa: E402
 import check_observability  # noqa: E402
 
 LINTS = (
     ("check_bare_counters", check_bare_counters.main),
     ("check_observability", check_observability.main),
+    ("check_crypto_oracles", check_crypto_oracles.main),
 )
 
 
