@@ -220,7 +220,8 @@ def forge_packet(
 def inject_raw(hca: HCA, packet: DataPacket) -> None:
     """Push a pre-built (possibly forged) packet into an HCA send queue,
     bypassing the node's legitimate AuthService — the attacker controls its
-    own NIC."""
+    own NIC.  A packet on a VL the HCA never serves raises ``ValueError``."""
+    hca.check_vl(packet)
     packet.t_created = hca.engine.now
     hca._enqueue(packet)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.iba.buffers import InputBuffer, ReadyEntry
-from repro.iba.types import VL_BEST_EFFORT, VL_REALTIME
+from repro.iba.types import VL_BEST_EFFORT, VL_REALTIME, data_lanes
 
 #: Arbitration order over VLs: strict priority, realtime first.
 PRIORITY_VLS: tuple[int, ...] = (VL_REALTIME, VL_BEST_EFFORT)
@@ -36,8 +36,8 @@ class VLArbiter:
     __slots__ = ("_rr_pointer", "high_limit", "_high_streak")
 
     def __init__(self, num_vls: int, high_limit: int | None = None) -> None:
-        # One round-robin pointer per VL (shared across output scans).
-        self._rr_pointer = [0] * num_vls
+        # One round-robin pointer per data VL (shared across output scans).
+        self._rr_pointer = [0] * data_lanes(num_vls)
         if high_limit is not None and high_limit < 1:
             raise ValueError("high_limit must be None or >= 1")
         self.high_limit = high_limit

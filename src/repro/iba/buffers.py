@@ -1,6 +1,8 @@
 """Per-VL input buffering for switch and HCA ports.
 
-Each input port has one FIFO per virtual lane.  A packet physically occupies
+Each input port has one FIFO per data VL (see
+:data:`~repro.iba.types.NUM_DATA_VLS`): the port models all of its VLs, but
+only the lanes traffic uses hold state.  A packet physically occupies
 a slot from the moment the upstream transmitter consumed the credit until
 the packet has fully left this buffer downstream — the accounting that makes
 credit-based flow control exact.
@@ -16,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.iba.packet import DataPacket
+from repro.iba.types import data_lanes
 
 
 @dataclass
@@ -42,12 +45,12 @@ class VLFifo:
 
 
 class InputBuffer:
-    """All VL FIFOs of one input port."""
+    """All data-VL FIFOs of one input port with *num_vls* VLs."""
 
     __slots__ = ("fifos",)
 
     def __init__(self, num_vls: int, capacity_per_vl: int) -> None:
-        self.fifos = [VLFifo(capacity_per_vl) for _ in range(num_vls)]
+        self.fifos = [VLFifo(capacity_per_vl) for _ in range(data_lanes(num_vls))]
 
     def begin_processing(self, vl: int) -> None:
         """A packet has physically arrived and entered the pipeline."""

@@ -25,7 +25,9 @@ from repro.iba.keys import KeySet, PKey
 from repro.iba.link import Link
 from repro.iba.packet import DataPacket, TrapMAD
 from repro.iba.qp import QueuePair
-from repro.iba.types import LID, QPN, ServiceType, TrafficClass, class_for_vl
+from repro.iba.types import (
+    LID, QPN, ServiceType, TrafficClass, class_for_vl, data_lanes,
+)
 from repro.iba.arbiter import PRIORITY_VLS
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_NS, PS_PER_US
@@ -76,18 +78,20 @@ class HCA:
         # (see repro.sim.trace.null_trace).
         self._trace = tracer.record if tracer is not None else null_trace
         self._trace_name = f"hca{int(lid)}"
+        #: VLs of the port (Table 1); per-VL state exists for the data VLs only.
         self.num_vls = num_vls
         self.processing_delay_ps = round(processing_delay_ns * PS_PER_NS)
         self.credit_return_delay_ps = round(credit_return_delay_ns * PS_PER_NS)
         self.metrics = metrics
         self.warmup_ps = warmup_ps
+        lanes = data_lanes(num_vls)
         # send side
-        self.send_queues: list[deque[DataPacket]] = [deque() for _ in range(num_vls)]
+        self.send_queues: list[deque[DataPacket]] = [deque() for _ in range(lanes)]
         self.out_link: Link | None = None
         # receive side
         self.in_link: Link | None = None
         self.rx_capacity = vl_buffer_packets
-        self._rx_occupancy = [0] * num_vls
+        self._rx_occupancy = [0] * lanes
         # security state
         self.keys = KeySet()
         self.qps: dict[QPN, QueuePair] = {}
@@ -133,8 +137,20 @@ class HCA:
 
     # --- send path -----------------------------------------------------------
 
+    def check_vl(self, packet: DataPacket) -> None:
+        """Refuse a packet on a VL the send arbiter never serves.
+
+        Only :data:`PRIORITY_VLS` have send queues; without this check such
+        a packet would be counted ``submitted`` and then never leave."""
+        if packet.vl not in PRIORITY_VLS:
+            raise ValueError(
+                f"HCA {int(self.lid)} cannot send on VL {packet.vl}: its "
+                f"arbiter serves VLs {list(PRIORITY_VLS)} only"
+            )
+
     def submit(self, packet: DataPacket) -> None:
         """Consumer posts a send work request.  ``t_created`` is now."""
+        self.check_vl(packet)
         packet.t_created = self.engine.now
         self._trace(self.engine.now, "created", self._trace_name, packet.packet_id)
         if self.bloom_stamper is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from repro.iba.packet import DataPacket
+from repro.iba.types import data_lanes
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_NS
 from repro.sim.trace import Tracer, null_trace
@@ -36,8 +37,9 @@ class Link:
     """One direction of a physical IBA link.
 
     ``credits[vl]`` mirrors free packet slots in the receiver's VL buffer at
-    the far end.  ``send`` consumes one credit and occupies the wire;
-    the receiver calls :meth:`return_credit` when it drains the slot.
+    the far end, one entry per data VL of the link's *num_vls*.  ``send``
+    consumes one credit and occupies the wire; the receiver calls
+    :meth:`return_credit` when it drains the slot.
     """
 
     __slots__ = (
@@ -81,7 +83,7 @@ class Link:
         self.wire_delay_ps = round(wire_delay_ns * PS_PER_NS)
         self.dst = dst
         self.dst_port = dst_port
-        self.credits = [credits_per_vl] * num_vls
+        self.credits = [credits_per_vl] * data_lanes(num_vls)
         self.busy = False
         #: sender callback: wire became free.
         self.on_free: Callable[[], None] | None = None

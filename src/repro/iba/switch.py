@@ -26,6 +26,7 @@ from repro.iba.arbiter import VLArbiter
 from repro.iba.buffers import InputBuffer
 from repro.iba.link import Link
 from repro.iba.packet import DataPacket
+from repro.iba.types import data_lanes
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_NS
 from repro.sim.trace import Tracer, null_trace
@@ -64,6 +65,7 @@ class Switch:
         self.engine = engine
         self.name = name
         self.num_ports = num_ports
+        #: VLs per port (Table 1); per-VL state exists for the data VLs only.
         self.num_vls = num_vls
         self.routing_delay_ps = round(routing_delay_ns * PS_PER_NS)
         self.credit_return_delay_ps = round(credit_return_delay_ns * PS_PER_NS)
@@ -79,7 +81,7 @@ class Switch:
         # FIFOs whose current *head* is ready for that (port, VL).  Most
         # pump wakeups on a big switch find nothing to grant; the index lets
         # the pump skip those O(ports) scans outright.
-        self._head_ready = [[0] * num_vls for _ in range(num_ports)]
+        self._head_ready = [[0] * data_lanes(num_vls) for _ in range(num_ports)]
         self._head_ready_total = [0] * num_ports
         #: packets received but still in the routing/enforcement pipeline
         #: stage (packet_id -> packet).  A crashed switch leaks these too —
@@ -208,7 +210,7 @@ class Switch:
     def _rebuild_head_ready(self) -> None:
         """Recount the ready-head index from scratch (after reroute edits
         the FIFOs in place)."""
-        head_ready = [[0] * self.num_vls for _ in range(self.num_ports)]
+        head_ready = [[0] * data_lanes(self.num_vls) for _ in range(self.num_ports)]
         head_total = [0] * self.num_ports
         for buf in self.inputs:
             for vl, fifo in enumerate(buf.fifos):

@@ -46,6 +46,16 @@ VL_REALTIME = 1
 VL_BEST_EFFORT = 0
 #: VL15 is the management VL — subnet management packets bypass data VLs.
 VL_MANAGEMENT = 15
+#: Data VLs the two traffic classes use: VL 0 and VL 1.  A link models
+#: Table 1's ``num_vls`` VLs, but per-VL state (input FIFOs, send queues,
+#: credit vectors, arbiter pointers) exists only for these lanes, indexed
+#: by VL number — no packet can enter any other lane.
+NUM_DATA_VLS = 2
+
+
+def data_lanes(num_vls: int) -> int:
+    """Per-VL state slots of a port or link with *num_vls* VLs: its data VLs."""
+    return min(num_vls, NUM_DATA_VLS)
 
 
 def class_for_vl(vl: int) -> TrafficClass:

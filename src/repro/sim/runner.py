@@ -309,6 +309,7 @@ def build_experiment(
     attackers: list[int] = []
     if config.num_attackers:
         attackers = streams.get("attackers").sample(lids, config.num_attackers)
+    attacker_set = set(attackers)
     windows = make_attack_windows(
         config.sim_time_ps,
         config.attack_duty_cycle if config.num_attackers else 0.0,
@@ -317,19 +318,27 @@ def build_experiment(
         start_ps=round(config.attack_start_us * PS_PER_US),
     )
 
-    # --- legitimate traffic: same-partition peers, per Section 3.1
+    # --- legitimate traffic: same-partition peers, per Section 3.1.  One
+    # Peer per honest LID, shared by every source that sends to it.
+    honest = {
+        index: sorted(m for m in members if m not in attacker_set)
+        for index, members in sm.partitions.items()
+    }
+    peer_of = {
+        m: Peer(m, qps[m].qpn, qps[m].qkey)
+        for members in honest.values() for m in members
+    }
     sources = []
     byte_ps = config.byte_time_ps
     for lid in lids:
-        if lid in attackers:
+        if lid in attacker_set:
             continue
         if only_lids is not None and lid not in only_lids:
             continue
         index = node_partition[lid]
-        peer_lids = [m for m in sm.partitions[index] if m != lid and m not in attackers]
-        if not peer_lids:
+        peers = [peer_of[m] for m in honest[index] if m != lid]
+        if not peers:
             continue
-        peers = [Peer(m, qps[m].qpn, qps[m].qkey) for m in sorted(peer_lids)]
         hca = fabric.hca(lid)
         if config.enable_best_effort:
             src = make_open_loop_source(

@@ -50,8 +50,9 @@ _UD_PAD = b"\x5a" * 25
 def payload_prefix(src_lid: LID, dst_lid: LID) -> bytes:
     """The per-(source, destination) constant head of the default payload.
 
-    Sources precompute this once per peer so the per-packet payload build
-    folds in only the 3 PSN bytes (see :func:`make_ud_packet`)."""
+    Sources compute this once per peer, on their first send to it, so the
+    per-packet payload build folds in only the 3 PSN bytes (see
+    :func:`make_ud_packet`)."""
     return int(src_lid).to_bytes(2, "big") + int(dst_lid).to_bytes(2, "big")
 
 
@@ -145,7 +146,10 @@ def make_rc_packet(
 
 
 class Peer:
-    """A destination a source may send to: (lid, QPN, Q_Key)."""
+    """A destination a source may send to: (lid, QPN, Q_Key).
+
+    Immutable in use: one ``Peer`` per destination LID is shared by every
+    source that sends to it."""
 
     __slots__ = ("lid", "qpn", "qkey")
 
@@ -153,6 +157,15 @@ class Peer:
         self.lid = lid
         self.qpn = qpn
         self.qkey = qkey
+
+
+def _prefix_for(prefixes: dict[Peer, bytes], src_lid: LID, peer: Peer) -> bytes:
+    """*peer*'s payload prefix from a source's memo, computed on first use
+    (most sources send to few of their peers within a run)."""
+    prefix = prefixes.get(peer)
+    if prefix is None:
+        prefix = prefixes[peer] = payload_prefix(src_lid, peer.lid)
+    return prefix
 
 
 class BestEffortSource:
@@ -186,7 +199,7 @@ class BestEffortSource:
         wire = mtu_bytes + LOCAL_UD_OVERHEAD
         self.mean_gap_ps = wire * byte_time_ps / load
         self.generated = 0
-        self._prefixes = {p: payload_prefix(hca.lid, p.lid) for p in peers}
+        self._prefixes: dict[Peer, bytes] = {}
 
     def start(self) -> None:
         self.engine.schedule_pooled(self._next_gap_ps(), self._arrival)
@@ -200,7 +213,7 @@ class BestEffortSource:
         pkt = make_ud_packet(
             self.hca, self.qp, peer.lid, peer.qpn, peer.qkey,
             self.pkey, TrafficClass.BEST_EFFORT, self.mtu_bytes,
-            prefix=self._prefixes[peer],
+            prefix=_prefix_for(self._prefixes, self.hca.lid, peer),
         )
         self.hca.submit(pkt)
         self.generated += 1
@@ -246,7 +259,7 @@ class RealtimeSource:
         self.interval_ps = round(wire * byte_time_ps / load)
         self.generated = 0
         self.throttled = 0
-        self._prefixes = {p: payload_prefix(hca.lid, p.lid) for p in peers}
+        self._prefixes: dict[Peer, bytes] = {}
 
     def start(self) -> None:
         # Random phase so the fabric's realtime streams are not in lockstep.
@@ -265,7 +278,7 @@ class RealtimeSource:
             pkt = make_ud_packet(
                 self.hca, self.qp, peer.lid, peer.qpn, peer.qkey,
                 self.pkey, TrafficClass.REALTIME, self.mtu_bytes,
-                prefix=self._prefixes[peer],
+                prefix=_prefix_for(self._prefixes, self.hca.lid, peer),
             )
             self.hca.submit(pkt)
             self.generated += 1

@@ -90,9 +90,14 @@ class TestCredits:
         _, _, link = link_setup
         got = []
         link.on_credit = got.append
-        link.return_credit(3)
-        assert got == [3]
-        assert link.credits[3] == 5
+        link.return_credit(1)
+        assert got == [1]
+        assert link.credits[1] == 5
+
+    def test_credit_vector_holds_the_data_vls_only(self, link_setup):
+        # num_vls=16 models Table 1's link; only VL 0 and VL 1 carry traffic.
+        _, _, link = link_setup
+        assert link.credits == [4, 4]
 
 
 class TestFailureAndTap:
