@@ -21,10 +21,14 @@ from repro.iba.packet import DataPacket
 from repro.iba.types import data_lanes
 
 
-@dataclass
 class ReadyEntry:
-    packet: DataPacket
-    out_port: int
+    """A routed packet in its input FIFO, with its assigned output port."""
+
+    __slots__ = ("packet", "out_port")
+
+    def __init__(self, packet: DataPacket, out_port: int) -> None:
+        self.packet = packet
+        self.out_port = out_port
 
 
 @dataclass
@@ -64,7 +68,7 @@ class InputBuffer:
 
     def make_ready(self, packet: DataPacket, out_port: int) -> None:
         """Routing finished: packet may now compete for its output port."""
-        fifo = self.fifos[packet.vl]
+        fifo = self.fifos[packet.lrh.vl]
         if fifo.processing <= 0:
             raise RuntimeError("make_ready without begin_processing")
         fifo.processing -= 1

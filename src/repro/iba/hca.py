@@ -32,7 +32,7 @@ from repro.iba.arbiter import PRIORITY_VLS
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_NS, PS_PER_US
 from repro.sim.metrics import LatencySample, MetricsCollector
-from repro.sim.trace import Tracer, null_trace
+from repro.sim.trace import Tracer
 
 
 class AuthService(Protocol):
@@ -74,9 +74,8 @@ class HCA:
         self.lid = lid
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
-        # Bound once: no per-emission branch on the untraced hot path
-        # (see repro.sim.trace.null_trace).
-        self._trace = tracer.record if tracer is not None else null_trace
+        # Bound once; None when untraced (call sites test for it).
+        self._trace = tracer.record if tracer is not None else None
         self._trace_name = f"hca{int(lid)}"
         #: VLs of the port (Table 1); per-VL state exists for the data VLs only.
         self.num_vls = num_vls
@@ -126,8 +125,7 @@ class HCA:
 
     def attach_out_link(self, link: Link) -> None:
         self.out_link = link
-        link.on_free = self._try_inject
-        link.on_credit = lambda vl: self._try_inject()
+        link.on_free = link.on_credit = self._try_inject
 
     def attach_in_link(self, link: Link) -> None:
         self.in_link = link
@@ -152,7 +150,8 @@ class HCA:
         """Consumer posts a send work request.  ``t_created`` is now."""
         self.check_vl(packet)
         packet.t_created = self.engine.now
-        self._trace(self.engine.now, "created", self._trace_name, packet.packet_id)
+        if self._trace is not None:
+            self._trace(self.engine.now, "created", self._trace_name, packet.packet_id)
         if self.bloom_stamper is not None:
             self.bloom_stamper(packet)
         delay = 0
@@ -165,7 +164,7 @@ class HCA:
 
     def _enqueue(self, packet: DataPacket) -> None:
         self.submitted.inc()
-        self.send_queues[packet.vl].append(packet)
+        self.send_queues[packet.lrh.vl].append(packet)
         self._try_inject()
 
     def queued_tx_count(self) -> int:
@@ -182,7 +181,11 @@ class HCA:
         network status cannot support the ... bandwidth requirement")."""
         return len(self.send_queues[traffic_class.vl])
 
-    def _try_inject(self) -> None:
+    def _try_inject(self, _vl: int | None = None) -> None:
+        """Start queued packets while the link is free and has credits.
+
+        Also the link's credit wakeup, which passes the returned credit's
+        *_vl*; it is ignored."""
         link = self.out_link
         if link is None:
             return
@@ -200,14 +203,17 @@ class HCA:
             if packet is None:
                 return
             packet.t_injected = self.engine.now
-            self._trace(self.engine.now, "injected", self._trace_name, packet.packet_id)
+            if self._trace is not None:
+                self._trace(
+                    self.engine.now, "injected", self._trace_name, packet.packet_id
+                )
             link.send(packet)
 
     # --- receive path -----------------------------------------------------------
 
     def receive(self, packet: DataPacket, in_port: int = 0) -> None:
         """Packet fully arrived from the fabric."""
-        vl = packet.vl
+        vl = packet.lrh.vl
         if self._rx_occupancy[vl] >= self.rx_capacity:
             raise RuntimeError(f"HCA {self.lid} VL{vl} rx overflow — credit bug")
         self._rx_occupancy[vl] += 1
@@ -218,7 +224,7 @@ class HCA:
 
     def _rx_done(self, packet: DataPacket) -> None:
         self._check_and_deliver(packet)
-        vl = packet.vl
+        vl = packet.lrh.vl
         self._rx_occupancy[vl] -= 1
         if self.in_link is not None:
             self.in_link.schedule_credit(self.credit_return_delay_ps, vl)
@@ -265,7 +271,8 @@ class HCA:
                 self._drop("replay", packet)
                 return
         self.delivered.inc()
-        self._trace(self.engine.now, "delivered", self._trace_name, packet.packet_id)
+        if self._trace is not None:
+            self._trace(self.engine.now, "delivered", self._trace_name, packet.packet_id)
         if not packet.is_attack or self.record_attack_packets:
             self._record_sample(packet)
 
@@ -286,7 +293,7 @@ class HCA:
     def _drop(self, reason: str, packet: DataPacket | None = None) -> None:
         if self.metrics is not None:
             self.metrics.record_drop(reason)
-        if packet is not None:
+        if packet is not None and self._trace is not None:
             self._trace(
                 self.engine.now, "dropped", self._trace_name,
                 packet.packet_id, reason,

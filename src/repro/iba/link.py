@@ -24,7 +24,7 @@ from repro.iba.packet import DataPacket
 from repro.iba.types import data_lanes
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_NS
-from repro.sim.trace import Tracer, null_trace
+from repro.sim.trace import Tracer
 
 
 class Receiver(Protocol):
@@ -87,13 +87,12 @@ class Link:
         self.busy = False
         #: sender callback: wire became free.
         self.on_free: Callable[[], None] | None = None
-        #: sender callback: a credit for some VL returned.
+        #: sender callback: a credit for some VL returned (called with it).
         self.on_credit: Callable[[int], None] | None = None
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
-        # Bound once here so the untraced hot path pays a no-op call, not a
-        # per-call branch (see repro.sim.trace.null_trace).
-        self._trace = tracer.record if tracer is not None else null_trace
+        # Bound once here; None when untraced (call sites test for it).
+        self._trace = tracer.record if tracer is not None else None
         self.packets_sent = self.registry.counter(f"link.{name}.packets_sent")
         self.bytes_sent = self.registry.counter(f"link.{name}.bytes_sent")
         #: a failed link accepts no new packets (fault injection).
@@ -123,22 +122,21 @@ class Link:
         (it has already left the transmitter); everything behind it waits
         until :meth:`restore`."""
         self.failed = True
-        self._trace(self.engine.now, "link_down", self.name)
+        if self._trace is not None:
+            self._trace(self.engine.now, "link_down", self.name)
 
     def restore(self) -> None:
         self.failed = False
-        self._trace(self.engine.now, "link_up", self.name)
+        if self._trace is not None:
+            self._trace(self.engine.now, "link_up", self.name)
         if self.on_credit is not None:
             self.on_credit(0)  # re-arm the sender's scheduler
         if self.on_free is not None and not self.busy:
             self.on_free()
 
-    def serialization_ps(self, packet: DataPacket) -> int:
-        return packet.wire_length * self.byte_time_ps
-
     def send(self, packet: DataPacket) -> None:
         """Begin transmitting *packet*.  Caller must have checked can_send."""
-        vl = packet.vl
+        vl = packet.lrh.vl
         if self.failed:
             raise RuntimeError(f"link {self.name} is down")
         if self.busy:
@@ -152,8 +150,9 @@ class Link:
         self._in_transit += 1
         self.packets_sent.inc()
         self.bytes_sent.inc(packet.wire_length)
-        ser = self.serialization_ps(packet)
-        self.engine.schedule_pooled(ser, self._complete, packet)
+        self.engine.schedule_pooled(
+            packet.wire_length * self.byte_time_ps, self._complete, packet
+        )
 
     def _complete(self, packet: DataPacket) -> None:
         self.busy = False

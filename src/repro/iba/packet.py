@@ -53,23 +53,21 @@ class LocalRouteHeader:
     link_next_header: int = 2  #: 2 = BTH follows (IBA "LNH" for local packets).
 
     def pack(self) -> bytes:
-        word0 = ((self.vl & 0xF) << 4) | 0x0  # LVer = 0
-        word1 = ((self.service_level & 0xF) << 4) | (self.link_next_header & 0x3)
-        pktlen = self.packet_length & 0x7FF
-        return struct.pack(
-            ">BBHHH",
-            word0,
-            word1,
-            int(self.dlid) & 0xFFFF,
-            pktlen,
-            int(self.slid) & 0xFFFF,
-        )
+        return self._pack((self.vl & 0xF) << 4)  # LVer = 0
 
     def pack_invariant(self) -> bytes:
         """LRH contribution to the ICRC: VL is a variant field, masked to 1s."""
-        data = bytearray(self.pack())
-        data[0] |= 0xF0  # mask the VL nibble
-        return bytes(data)
+        return self._pack(0xF0)
+
+    def _pack(self, word0: int) -> bytes:
+        return struct.pack(
+            ">BBHHH",
+            word0,
+            ((self.service_level & 0xF) << 4) | (self.link_next_header & 0x3),
+            int(self.dlid) & 0xFFFF,
+            self.packet_length & 0x7FF,
+            int(self.slid) & 0xFFFF,
+        )
 
     @classmethod
     def unpack(cls, data: bytes) -> "LocalRouteHeader":
@@ -103,30 +101,32 @@ class BaseTransportHeader:
     pad_count: int = 0
 
     def pack(self) -> bytes:
+        return self._pack(self.reserved_auth & 0xFF)
+
+    def pack_invariant(self) -> bytes:
+        """BTH contribution to the ICRC: resv8a masked to 1s (variant field)."""
+        return self._pack(0xFF)
+
+    def _pack(self, resv8a: int) -> bytes:
         flags = (
             (0x80 if self.solicited else 0)
             | (0x40 if self.migreq else 0)
             | ((self.pad_count & 0x3) << 4)
         )
+        qp = int(self.dest_qp)
         return struct.pack(
             ">BBHBBBBBBH",
             self.opcode & 0xFF,
             flags,
             self.pkey.value,
-            self.reserved_auth & 0xFF,
-            (int(self.dest_qp) >> 16) & 0xFF,
-            (int(self.dest_qp) >> 8) & 0xFF,
-            int(self.dest_qp) & 0xFF,
+            resv8a,
+            (qp >> 16) & 0xFF,
+            (qp >> 8) & 0xFF,
+            qp & 0xFF,
             0,  # AckReq/reserved
             (self.psn >> 16) & 0xFF,
             self.psn & 0xFFFF,
         )
-
-    def pack_invariant(self) -> bytes:
-        """BTH contribution to the ICRC: resv8a masked to 1s (variant field)."""
-        data = bytearray(self.pack())
-        data[4] = 0xFF
-        return bytes(data)
 
     @classmethod
     def unpack(cls, data: bytes) -> "BaseTransportHeader":

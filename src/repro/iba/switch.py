@@ -20,6 +20,7 @@ module substrate-only; the DPT/IF/SIF policies live in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Protocol
 
 from repro.iba.arbiter import VLArbiter
@@ -29,7 +30,7 @@ from repro.iba.packet import DataPacket
 from repro.iba.types import data_lanes
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_NS
-from repro.sim.trace import Tracer, null_trace
+from repro.sim.trace import Tracer
 
 #: Port index that faces the attached HCA on every switch.
 HCA_PORT = 0
@@ -77,10 +78,12 @@ class Switch:
         self.filters: list[PortFilter | None] = [None] * num_ports
         self.route_table: dict[int, int] = {}  #: dest LID -> output port
         self.arbiter = VLArbiter(num_vls, high_limit=arbiter_high_limit)
-        # Arbitration index: _head_ready[out_port][vl] counts the input
-        # FIFOs whose current *head* is ready for that (port, VL).  Most
-        # pump wakeups on a big switch find nothing to grant; the index lets
-        # the pump skip those O(ports) scans outright.
+        # Arbitration index: bit i of _head_ready[out_port][vl] is set when
+        # input port i's VL FIFO *head* is ready and bound for out_port, so
+        # the arbiter finds its round-robin winner with bit operations
+        # instead of walking every input.  _head_ready_total[out_port]
+        # counts those heads over all VLs: most pump wakeups on a big switch
+        # find it 0 and return at once.
         self._head_ready = [[0] * data_lanes(num_vls) for _ in range(num_ports)]
         self._head_ready_total = [0] * num_ports
         #: packets received but still in the routing/enforcement pipeline
@@ -90,11 +93,12 @@ class Switch:
         # statistics (registry-owned; see repro.sim.counters)
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
-        # Trace emission is a call through _trace — bound once here to the
-        # real recorder or a no-op — with the per-port detail strings
-        # precomputed, so the untraced hot path neither branches nor
-        # formats (see repro.sim.trace.null_trace).
-        self._trace = tracer.record if tracer is not None else null_trace
+        # Trace emission goes through _trace, bound once here to the
+        # recorder or None; every call site is guarded by
+        # ``if self._trace is not None``, so an untraced run pays one
+        # attribute test per site and formats nothing.  The per-port detail
+        # strings are precomputed.
+        self._trace = tracer.record if tracer is not None else None
         self._port_detail = [f"port {p}" for p in range(num_ports)]
         self.forwarded = self.registry.counter(f"switch.{name}.forwarded")
         self.filtered_drops = self.registry.counter(f"switch.{name}.filtered_drops")
@@ -105,8 +109,9 @@ class Switch:
 
     def attach_out_link(self, port: int, link: Link) -> None:
         self.out_links[port] = link
-        link.on_free = lambda p=port: self._pump(p)
-        link.on_credit = lambda vl, p=port: self._pump(p)
+        # One callable serves both wakeups: on_credit passes the VL, which
+        # _pump ignores.
+        link.on_free = link.on_credit = partial(self._pump, port)
 
     def attach_in_link(self, port: int, link: Link) -> None:
         self.in_links[port] = link
@@ -118,19 +123,20 @@ class Switch:
 
     def receive(self, packet: DataPacket, in_port: int) -> None:
         """Packet fully arrived at *in_port* (store-and-forward)."""
-        self.inputs[in_port].begin_processing(packet.vl)
+        self.inputs[in_port].begin_processing(packet.lrh.vl)
         self._in_pipeline[packet.packet_id] = packet
-        self._trace(
-            self.engine.now, "switch_rx", self.name, packet.packet_id,
-            self._port_detail[in_port],
-        )
-        extra_ns = 0.0
+        if self._trace is not None:
+            self._trace(
+                self.engine.now, "switch_rx", self.name, packet.packet_id,
+                self._port_detail[in_port],
+            )
+        delay = self.routing_delay_ps
         accept = True
         policy = self.filters[in_port]
         if policy is not None:
             accept, extra_ns = policy.process(packet, self.engine.now)
             self.lookup_stalls_ns.add(extra_ns)
-        delay = self.routing_delay_ps + round(extra_ns * PS_PER_NS)
+            delay += round(extra_ns * PS_PER_NS)
         self.engine.schedule_pooled(delay, self._pipeline_done, packet, in_port, accept)
 
     def pipeline_packets(self) -> list[DataPacket]:
@@ -151,26 +157,28 @@ class Switch:
         self._in_pipeline.pop(packet.packet_id, None)
         if not accept:
             self.filtered_drops.inc()
-            self._trace(
-                self.engine.now, "filtered", self.name, packet.packet_id,
-                self._port_detail[in_port],
-            )
-            self._release_slot(in_port, packet.vl)
+            if self._trace is not None:
+                self._trace(
+                    self.engine.now, "filtered", self.name, packet.packet_id,
+                    self._port_detail[in_port],
+                )
+            self._release_slot(in_port, packet.lrh.vl)
             return
-        out_port = self.route_table.get(int(packet.dst))
+        out_port = self.route_table.get(packet.lrh.dlid)
         if out_port is None or self.out_links[out_port] is None:
             self.unroutable_drops.inc()
-            self._trace(
-                self.engine.now, "unroutable", self.name, packet.packet_id,
-                self._port_detail[in_port],
-            )
-            self._release_slot(in_port, packet.vl)
+            if self._trace is not None:
+                self._trace(
+                    self.engine.now, "unroutable", self.name, packet.packet_id,
+                    self._port_detail[in_port],
+                )
+            self._release_slot(in_port, packet.lrh.vl)
             return
         buf = self.inputs[in_port]
         buf.make_ready(packet, out_port)
-        vl = packet.vl
+        vl = packet.lrh.vl
         if len(buf.fifos[vl].ready) == 1:  # became its FIFO's head
-            self._head_ready[out_port][vl] += 1
+            self._head_ready[out_port][vl] |= 1 << in_port
             self._head_ready_total[out_port] += 1
         self._pump(out_port)
 
@@ -190,7 +198,7 @@ class Switch:
             for vl, fifo in enumerate(buffer.fifos):
                 kept = []
                 for entry in fifo.ready:
-                    new_port = self.route_table.get(int(entry.packet.dst))
+                    new_port = self.route_table.get(entry.packet.lrh.dlid)
                     link = self.out_links[new_port] if new_port is not None else None
                     if link is None or link.failed:
                         self.unroutable_drops.inc()
@@ -208,78 +216,85 @@ class Switch:
         return dropped
 
     def _rebuild_head_ready(self) -> None:
-        """Recount the ready-head index from scratch (after reroute edits
+        """Rebuild the ready-head index from scratch (after reroute edits
         the FIFOs in place)."""
         head_ready = [[0] * data_lanes(self.num_vls) for _ in range(self.num_ports)]
         head_total = [0] * self.num_ports
-        for buf in self.inputs:
+        for in_port, buf in enumerate(self.inputs):
             for vl, fifo in enumerate(buf.fifos):
                 if fifo.ready:
                     port = fifo.ready[0].out_port
-                    head_ready[port][vl] += 1
+                    head_ready[port][vl] |= 1 << in_port
                     head_total[port] += 1
         self._head_ready = head_ready
         self._head_ready_total = head_total
 
-    def _release_slot(self, in_port: int, vl: int, processing: bool = True) -> None:
-        """Free an input slot and send the credit back upstream."""
-        if processing:
-            self.inputs[in_port].drop_processing(vl)
+    def _release_slot(self, in_port: int, vl: int) -> None:
+        """Free a pipeline-stage input slot and send the credit back
+        upstream."""
+        self.inputs[in_port].drop_processing(vl)
         upstream = self.in_links[in_port]
         if upstream is not None:
             upstream.schedule_credit(self.credit_return_delay_ps, vl)
 
-    def _pump(self, out_port: int) -> None:
+    def _pump(self, out_port: int, _vl: int | None = None) -> None:
         """Crossbar scheduling pass starting at *out_port*.
 
         Forwarding a packet can expose a new FIFO head destined to a
         *different* output port, so the pass keeps a worklist: whenever a
         pop uncovers a head bound elsewhere, that port is (re)visited too.
         This keeps each wakeup O(grants) instead of rescanning every port
-        (the event loop's hottest path, per profiling).
+        (the event loop's hottest path, per profiling).  *_vl* is the credit
+        wakeup's lane (see :meth:`attach_out_link`) and is ignored.
         """
+        head_total = self._head_ready_total
+        if not head_total[out_port]:
+            return  # no FIFO head wants this port — nothing to grant
         work = {out_port}
         head_ready = self._head_ready
-        head_total = self._head_ready_total
+        inputs = self.inputs
+        pick = self.arbiter.pick
         while work:
             port = work.pop()
             if not head_total[port]:
-                continue  # no FIFO head wants this port — nothing to grant
+                continue
             link = self.out_links[port]
             if link is None:
                 continue
             credits = link.credits
-            counts = head_ready[port]
+            masks = head_ready[port]
             while not link.busy and not link.failed:
-                choice = self.arbiter.pick(port, self.inputs, credits, counts)
+                choice = pick(port, inputs, credits, masks)
                 if choice is None:
                     break
                 in_port, entry = choice
-                vl = entry.packet.vl
-                fifo = self.inputs[in_port].fifos[vl]
-                self.inputs[in_port].pop_head(vl)
-                head_ready[port][vl] -= 1
+                packet = entry.packet
+                vl = packet.lrh.vl
+                ready = inputs[in_port].fifos[vl].ready
+                ready.popleft()
+                bit = 1 << in_port
+                masks[vl] ^= bit
                 head_total[port] -= 1
-                uncovered = fifo.head()
-                if uncovered is not None:
-                    up = uncovered.out_port
-                    head_ready[up][vl] += 1
+                if ready:  # the pop uncovered a new head
+                    up = ready[0].out_port
+                    head_ready[up][vl] |= bit
                     head_total[up] += 1
                     if up != port:
                         work.add(up)
-                link.send(entry.packet)
+                link.send(packet)
                 self.forwarded.inc()
-                self._trace(
-                    self.engine.now, "forwarded", self.name,
-                    entry.packet.packet_id, self._port_detail[port],
-                )
+                if self._trace is not None:
+                    self._trace(
+                        self.engine.now, "forwarded", self.name,
+                        packet.packet_id, self._port_detail[port],
+                    )
                 # The input slot stays occupied until the outgoing
                 # transmission completes; only then does the credit travel
                 # back upstream.
-                ser = link.serialization_ps(entry.packet)
                 upstream = self.in_links[in_port]
                 if upstream is not None:
                     upstream.schedule_credit(
-                        ser + self.credit_return_delay_ps,
-                        entry.packet.vl,
+                        packet.wire_length * link.byte_time_ps
+                        + self.credit_return_delay_ps,
+                        vl,
                     )

@@ -380,19 +380,24 @@ def build_fat_tree(
             lid0 % half,                     # host port on that edge switch
             half + lid0 % half,              # up-port used toward this dest
         ))
+    # Every aggregation switch of a pod, and every core switch, holds the
+    # same table, so each group shares one dict (k + 1 of them instead of
+    # k²/2 + k²/4).  Nothing edits a table in place: recompute_routes gives
+    # every switch a fresh dict of its own.
     for pod in range(k):
+        agg_table = {
+            lid: dedge if dpod == pod else up
+            for lid, dpod, dedge, _, up in dests
+        }
         for i in range(half):
-            edge = fabric.switches[(FT_EDGE, pod * half + i)]
-            agg = fabric.switches[(FT_AGG, pod * half + i)]
-            for lid, dpod, dedge, dhost, up in dests:
-                edge.route_table[lid] = (
-                    dhost if dpod == pod and dedge == i else up
-                )
-                agg.route_table[lid] = dedge if dpod == pod else up
+            fabric.switches[(FT_EDGE, pod * half + i)].route_table = {
+                lid: dhost if dpod == pod and dedge == i else up
+                for lid, dpod, dedge, dhost, up in dests
+            }
+            fabric.switches[(FT_AGG, pod * half + i)].route_table = agg_table
+    core_table = {lid: dpod for lid, dpod, _, _, _ in dests}
     for c in range(half * half):
-        core = fabric.switches[(FT_CORE, c)]
-        for lid, dpod, _, _, _ in dests:
-            core.route_table[lid] = dpod
+        fabric.switches[(FT_CORE, c)].route_table = core_table
     return fabric
 
 

@@ -70,26 +70,24 @@ class Engine:
     ['a', 'b']
     """
 
-    __slots__ = ("_sched", "_push", "_now", "_seq", "_processed", "_pool")
+    __slots__ = ("_sched", "_push", "now", "_seq", "_processed", "_pool")
 
     def __init__(self) -> None:
         self._sched = WheelScheduler()
         self._push = self._sched.push  # bound once; schedule paths are hot
-        self._now = 0
+        #: Current simulation time in picoseconds.  A plain attribute (hot
+        #: code reads it per packet); only the scheduler's ``drain``,
+        #: :meth:`step` and :meth:`run` write it.
+        self.now = 0
         self._seq = 0
         self._processed = 0
         #: free list of recycled fire-and-forget events.
         self._pool: list[Event] = []
 
     @property
-    def now(self) -> int:
-        """Current simulation time in picoseconds."""
-        return self._now
-
-    @property
     def now_us(self) -> float:
         """Current simulation time in microseconds (for reporting only)."""
-        return self._now / PS_PER_US
+        return self.now / PS_PER_US
 
     @property
     def events_processed(self) -> int:
@@ -112,7 +110,7 @@ class Engine:
         """Schedule *fn(*args)* to run *delay* picoseconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + int(delay)
+        time = self.now + int(delay)
         seq = self._seq
         self._seq = seq + 1
         ev = Event(time, priority, seq, fn, args)
@@ -121,8 +119,8 @@ class Engine:
 
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any, priority: int = 0) -> Event:
         """Schedule *fn(*args)* at absolute *time* picoseconds."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} < now {self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
         time = int(time)
         seq = self._seq
         self._seq = seq + 1
@@ -140,7 +138,7 @@ class Engine:
         one sequence number at schedule time."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + int(delay)
+        time = self.now + int(delay)
         seq = self._seq
         self._seq = seq + 1
         pool = self._pool
@@ -169,7 +167,7 @@ class Engine:
             return False
         sched.pop_head()
         ev = head[3]
-        self._now = head[0]
+        self.now = head[0]
         ev.fn(*ev.args)
         self._processed += 1
         if ev.pooled:
@@ -195,9 +193,9 @@ class Engine:
         # discarded as they surface and never count against *max_events*;
         # pooled events go back on the engine's free list after firing.
         budget_hit = self._sched.drain(self, until, max_events)
-        if until is not None and self._now < until:
+        if until is not None and self.now < until:
             if budget_hit:
                 nxt = self.peek_time()
                 if nxt is not None and nxt <= until:
                     return  # pending work before `until` — clock must not jump it
-            self._now = until
+            self.now = until

@@ -160,7 +160,7 @@ class WheelScheduler:
             hi += 1
             self._hi = hi
             self._size -= 1
-            engine._now = t
+            engine.now = t
             ev.fn(*ev.args)
             engine._processed += 1
             count += 1

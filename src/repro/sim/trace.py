@@ -42,22 +42,6 @@ from repro.sim.engine import PS_PER_US
 NO_PACKET = -1
 
 
-def null_trace(
-    time_ps: int,
-    kind: str,
-    where: str,
-    packet_id: int = NO_PACKET,
-    detail: str = "",
-) -> None:
-    """Signature-compatible no-op for :meth:`Tracer.record`.
-
-    Hot-path components bind ``self._trace`` once at construction — to
-    ``tracer.record`` when tracing is on, to this function when it is off —
-    so the untraced hot path pays one no-op call instead of a branch per
-    emission site (``tools/check_observability.py`` enforces the binding).
-    """
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     time_ps: int
@@ -194,7 +178,7 @@ def attach_hca_tracer(hca, tracer: Tracer) -> None:
 
     original_try_inject = hca._try_inject
 
-    def traced_try_inject():
+    def traced_try_inject(_vl=None):
         # record injection times by diffing queue heads before/after
         pending = {id(q): list(q) for q in hca.send_queues}
         original_try_inject()
@@ -207,6 +191,8 @@ def attach_hca_tracer(hca, tracer: Tracer) -> None:
                 )
 
     hca._try_inject = traced_try_inject
+    if hca.out_link is not None:  # the link's wakeups were bound at wiring
+        hca.out_link.on_free = hca.out_link.on_credit = traced_try_inject
 
 
 def attach_switch_tracer(switch, tracer: Tracer) -> None:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.sim.config import EnforcementMode, SimConfig
 from repro.sim.runner import SimReport, run_simulation
+from repro.sim.trace import Tracer
 
 pytestmark = pytest.mark.tier2_fuzz
 
@@ -64,19 +65,17 @@ def fingerprint(report: SimReport) -> dict:
     }
 
 
-def record() -> dict:
-    return fingerprint(run_simulation(CONFIG))
+def record(tracer: Tracer | None = None) -> dict:
+    return fingerprint(run_simulation(CONFIG, tracer=tracer))
 
 
-def test_config_is_a_table1_fattree_sif_dos():
-    assert CONFIG.num_vls == SimConfig().num_vls == 16
-    assert CONFIG.num_attackers >= 8 and not CONFIG.attack_valid_pkey
-    assert CONFIG.partition_layout == "pod"
+@pytest.fixture(scope="module")
+def expected() -> dict:
+    return json.loads(FIXTURE.read_text())
 
 
-def test_fattree_sif_dos_matches_golden():
-    expected = json.loads(FIXTURE.read_text())
-    actual = json.loads(json.dumps(record()))  # JSON-normalize floats
+def assert_matches(actual: dict, expected: dict) -> None:
+    actual = json.loads(json.dumps(actual))  # JSON-normalize floats
     for key in ("drops", "stats", "delivered", "events_processed"):
         assert actual[key] == expected[key], key
     diff = sorted(
@@ -87,10 +86,30 @@ def test_fattree_sif_dos_matches_golden():
         (k, expected["counters"].get(k), actual["counters"].get(k))
         for k in diff[:5]
     ]
+
+
+def test_config_is_a_table1_fattree_sif_dos():
+    assert CONFIG.num_vls == SimConfig().num_vls == 16
+    assert CONFIG.num_attackers >= 8 and not CONFIG.attack_valid_pkey
+    assert CONFIG.partition_layout == "pod"
+
+
+def test_fattree_sif_dos_matches_golden(expected):
+    assert_matches(record(), expected)
     # The run must exercise what it pins: SIF fired and flood traffic died.
     assert expected["drops"].get("pkey", 0) > 0
     assert sum(v for k, v in expected["counters"].items()
                if k.endswith(".activations")) > 0
+
+
+def test_traced_run_matches_untraced_golden(expected):
+    """Tracing observes and never steers: the same run with a Tracer
+    attached schedules the same events and counts the same things."""
+    tracer = Tracer()
+    assert_matches(record(tracer), expected)
+    kinds = {e.kind for e in tracer.events}
+    assert {"created", "injected", "switch_rx", "forwarded",
+            "delivered", "dropped", "sif_activated"} <= kinds
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.fuzz.oracles
 from repro.fuzz.generators import generate_scenario
 from repro.fuzz.oracles import FuzzRun, execute_scenario
 
@@ -87,6 +88,29 @@ def test_production_run_matches_golden(golden, index):
         (k, expected["counters"].get(k), actual["counters"].get(k))
         for k in diff[:5]
     ]
+
+
+#: Golden seed with link faults, a switch crash, tampers, forged
+#: injections, Bloom enforcement and two attackers.
+UNTRACED_SEED = 7
+
+
+def test_untraced_run_matches_traced_golden(golden, monkeypatch):
+    """Tracing observes and never steers: the golden runs were recorded
+    with a Tracer attached, and the same scenario run with no tracer wired
+    in must schedule the same events and count the same things."""
+    run_simulation = repro.fuzz.oracles.run_simulation
+
+    def untraced(config, tracer, setup):
+        return run_simulation(config, setup=setup)
+
+    monkeypatch.setattr(repro.fuzz.oracles, "run_simulation", untraced)
+    run = execute_scenario(generate_scenario(MASTER_SEED, UNTRACED_SEED))
+    assert not run.tracer.events
+    actual = json.loads(json.dumps(fingerprint(run)))
+    expected = golden[UNTRACED_SEED]
+    for key in ("counters", "drops", "stats", "delivered", "events_processed"):
+        assert actual[key] == expected[key], key
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Packet formats: header serialization, invariant-field masking (the ICRC
 coverage rule the whole AT design rests on), and nonce construction."""
 
+import random
+
 import pytest
 
 from repro.iba.keys import PKey, QKey
@@ -35,6 +37,41 @@ class TestLRH:
         b = LocalRouteHeader(vl=7, service_level=1, dlid=LID(1), slid=LID(2), packet_length=10)
         assert a.pack() != b.pack()
         assert a.pack_invariant() == b.pack_invariant()
+
+
+class TestInvariantMatchesMaskedPack:
+    """``pack_invariant`` builds its bytes in one ``struct.pack``; it must
+    equal the wire bytes with the variant field overwritten by ones — the
+    ICRC coverage rule stated directly — for random field values."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lrh(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            lrh = LocalRouteHeader(
+                vl=rng.randrange(16), service_level=rng.randrange(16),
+                dlid=LID(rng.randrange(1 << 16)), slid=LID(rng.randrange(1 << 16)),
+                packet_length=rng.randrange(1 << 11),
+                link_next_header=rng.randrange(4),
+            )
+            masked = bytearray(lrh.pack())
+            masked[0] |= 0xF0  # VL nibble
+            assert lrh.pack_invariant() == bytes(masked)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bth(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            bth = BaseTransportHeader(
+                opcode=rng.randrange(256), pkey=PKey(rng.randrange(1 << 16)),
+                dest_qp=QPN(rng.randrange(1 << 24)), psn=rng.randrange(1 << 24),
+                reserved_auth=rng.randrange(256),
+                solicited=rng.random() < 0.5, migreq=rng.random() < 0.5,
+                pad_count=rng.randrange(4),
+            )
+            masked = bytearray(bth.pack())
+            masked[4] = 0xFF  # resv8a
+            assert bth.pack_invariant() == bytes(masked)
 
 
 class TestBTH:

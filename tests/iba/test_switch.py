@@ -8,6 +8,7 @@ from repro.iba.switch import HCA_PORT, Switch
 from repro.sim.engine import Engine
 
 from tests.conftest import make_packet
+from tests.iba.arbiter_oracle import head_masks
 from tests.sim.heap_oracle import QUEUES, make_engine
 
 BYTE_PS = 3200
@@ -163,16 +164,20 @@ class TestPumpProgress:
 
 
 class TestReadyHeadIndex:
-    """The arbitration index: _head_ready[port][vl] must always equal a
-    from-scratch recount of the input FIFO heads, whichever event queue
-    (production wheel or heap oracle) orders the run."""
+    """The arbitration index: each bitmask _head_ready[port][vl] and each
+    count _head_ready_total[port] must always equal a from-scratch recount
+    of the input FIFO heads, whichever event queue (production wheel or
+    heap oracle) orders the run — and _rebuild_head_ready must produce
+    that recount too."""
 
     @staticmethod
     def assert_index_consistent(sw):
-        maintained = ([row[:] for row in sw._head_ready],
-                      sw._head_ready_total[:])
+        masks = [head_masks(sw.inputs, port) for port in range(sw.num_ports)]
+        totals = [sum(bin(m).count("1") for m in row) for row in masks]
+        assert sw._head_ready == masks, sw.name
+        assert sw._head_ready_total == totals, sw.name
         sw._rebuild_head_ready()
-        assert maintained == (sw._head_ready, sw._head_ready_total), sw.name
+        assert (sw._head_ready, sw._head_ready_total) == (masks, totals), sw.name
 
     @pytest.mark.parametrize("mode", QUEUES)
     def test_index_matches_recount_through_congested_run(self, mode):

@@ -245,6 +245,35 @@ class TestFatTreeRouting:
                   for sw in visited]
         assert layers == [FT_EDGE, FT_AGG, FT_CORE, FT_AGG, FT_EDGE]
 
+    def test_identical_tables_shared_until_recompute(self):
+        """All core switches share one table and the aggregation switches
+        of a pod share one; edge tables differ.  recompute_routes gives
+        every switch its own dict again, with the same routes."""
+        from repro.iba.topology import recompute_routes
+
+        k, half = 8, 4
+        f = fat_tree_of(k)
+        cores = [f.switches[(FT_CORE, c)] for c in range(half * half)]
+        assert all(c.route_table is cores[0].route_table for c in cores)
+        tables = {id(c.route_table) for c in cores}
+        for pod in range(k):
+            aggs = [f.switches[(FT_AGG, pod * half + i)] for i in range(half)]
+            assert all(a.route_table is aggs[0].route_table for a in aggs)
+            tables.add(id(aggs[0].route_table))
+            tables.update(id(f.switches[(FT_EDGE, pod * half + i)].route_table)
+                          for i in range(half))
+        assert len(tables) == 1 + k + k * half
+        core_before = dict(cores[0].route_table)
+
+        recompute_routes(f)
+        ids = {id(sw.route_table) for sw in f.switches.values()}
+        assert len(ids) == len(f.switches)
+        for src in (1, 17, 128):
+            for dst in (1, 2, 16, 17, 64, 128):
+                if src != dst:
+                    assert len(walk_route(f, src, dst)) == path_length(f, src, dst)
+        assert cores[0].route_table == core_before
+
 
 class TestFatTreeDelivery:
     def test_inter_pod_packet_delivers(self):

@@ -10,6 +10,7 @@ from repro.sim.config import SimConfig
 from repro.sim.runner import run_simulation
 
 from tests.conftest import make_packet
+from tests.iba.arbiter_oracle import pick
 
 
 def loaded_buffer(rt=6, be=6):
@@ -26,7 +27,7 @@ def loaded_buffer(rt=6, be=6):
 def drain(arb, inputs, count):
     picked = []
     for _ in range(count):
-        choice = arb.pick(0, inputs, [1, 1])
+        choice = pick(arb, 0, inputs, [1, 1])
         if choice is None:
             break
         in_port, entry = choice

@@ -71,7 +71,7 @@ class HeapScheduler:
             if until is not None and t > until:
                 return False
             heappop(q)
-            engine._now = t
+            engine.now = t
             ev.fn(*ev.args)
             engine._processed += 1
             count += 1

@@ -5,13 +5,17 @@ from repro.sim.runner import build_experiment
 from repro.sim.trace import Tracer, attach_hca_tracer, attach_switch_tracer
 
 
-def small_run(tracer, enforcement=EnforcementMode.NONE, attackers=0):
-    cfg = SimConfig(
+def small_config(enforcement=EnforcementMode.NONE, attackers=0):
+    return SimConfig(
         mesh_width=2, mesh_height=2, num_partitions=1,
         sim_time_us=300.0, warmup_us=0.0, seed=2,
         best_effort_load=0.2, enable_realtime=False,
         num_attackers=attackers, enforcement=enforcement,
     )
+
+
+def small_run(tracer, enforcement=EnforcementMode.NONE, attackers=0):
+    cfg = small_config(enforcement, attackers)
     engine, fabric, sources, flooders, _, _ = build_experiment(cfg)
     for hca in fabric.hcas.values():
         attach_hca_tracer(hca, tracer)
@@ -30,6 +34,19 @@ class TestLifecycleCapture:
         assert kinds.get("injected", 0) > 0
         assert kinds.get("switch_rx", 0) > 0
         assert kinds.get("delivered", 0) > 0
+
+    def test_legacy_wrappers_match_native_emission(self):
+        """The wrappers see every lifecycle event the natively traced
+        fabric emits — injections started by link-free and credit
+        wakeups included."""
+        legacy = Tracer()
+        small_run(legacy)
+        cfg = small_config()
+        native = Tracer()
+        engine, *_ = build_experiment(cfg, tracer=native)
+        engine.run(until=cfg.sim_time_ps)
+        for kind in ("created", "injected", "switch_rx", "delivered"):
+            assert legacy.kinds()[kind] == native.kinds()[kind], kind
 
     def test_packet_timeline_ordered(self):
         tracer = Tracer()

@@ -1,9 +1,11 @@
-"""The observability swap lint: the repo must stay clean, and the checker
-must actually catch calls that bypass the bound no-op callables."""
+"""The observability lint: the repo must stay clean, and the checker must
+actually catch unguarded trace calls and calls that bypass the bindings."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 CHECKER = REPO / "tools" / "check_observability.py"
@@ -66,11 +68,55 @@ class TestCheckerCatchesRegressions:
         ok.write_text(
             "class Switch:\n"
             "    def __init__(self, tracer):\n"
-            "        self._trace = tracer.record if tracer else null_trace\n"
+            "        self._trace = tracer.record if tracer else None\n"
+            "    def _pump(self, now):\n"
+            "        if self._trace is not None:\n"
+            "            self._trace(now, 'hop', self.name, 0, '')\n"
+            "    def _drop(self, now, packet):\n"
+            "        if packet is not None and self._trace is not None:\n"
+            "            for _ in range(2):\n"
+            "                self._trace(now, 'drop', self.name, 0, '')\n"
+        )
+        assert run_checker(ok).returncode == 0, run_checker(ok).stderr
+
+    def test_unguarded_trace_call_fails(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "class Switch:\n"
             "    def _pump(self, now):\n"
             "        self._trace(now, 'hop', self.name, 0, '')\n"
         )
-        assert run_checker(ok).returncode == 0, run_checker(ok).stderr
+        proc = run_checker(bad)
+        assert proc.returncode == 1
+        assert "._trace()" in proc.stderr
+
+    @pytest.mark.parametrize("test", [
+        "self._trace is None",          # the inverted test
+        "self.tracer is not None",      # a different binding
+        "self._trace is not None or x",  # not a proof
+        "other._trace is not None",     # another object's binding
+    ])
+    def test_wrong_guard_fails(self, tmp_path, test):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "class Switch:\n"
+            "    def _pump(self, now, other, x):\n"
+            f"        if {test}:\n"
+            "            self._trace(now, 'hop', self.name, 0, '')\n"
+        )
+        assert run_checker(bad).returncode == 1
+
+    def test_else_branch_is_not_guarded(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "class Switch:\n"
+            "    def _pump(self, now):\n"
+            "        if self._trace is not None:\n"
+            "            pass\n"
+            "        else:\n"
+            "            self._trace(now, 'hop', self.name, 0, '')\n"
+        )
+        assert run_checker(bad).returncode == 1
 
     def test_registry_lookup_in_init_allowed(self, tmp_path):
         ok = tmp_path / "ok.py"
